@@ -51,6 +51,9 @@ type (
 	// ReusableNode is the optional Node extension for build-once /
 	// run-many execution (see network.ReusableNode).
 	ReusableNode = network.ReusableNode
+	// Rebinder is the optional Program extension that re-binds a warm
+	// instance's nodes to a different program (see network.Rebinder).
+	Rebinder = network.Rebinder
 	// Config controls a simulation run (see network.Config).
 	Config = network.Config
 	// Engine selects an execution engine by name.

@@ -99,7 +99,10 @@ type checkState struct {
 }
 
 // prealloc sizes the reusable buffers for a node of the given degree so that
-// a typical repetition performs no growth reallocations: received volume
+// a typical repetition performs no growth reallocations. It only grows:
+// buffers that already hold the reservation — from an earlier binding at
+// the same or a larger k, or from growth in earlier runs — are kept, so
+// re-binding a warm node to another program allocates nothing. Received volume
 // scales with fan-in (deg neighbors × pruned per-message sequence count),
 // sent volume with the per-message count alone. Everything is carved from a
 // few typed slabs, so a node costs a constant number of setup allocations
@@ -129,6 +132,8 @@ type checkState struct {
 // once during the first repetition — reserving for their worst case would
 // cost ~80 KB per node on graphs where most nodes never see that traffic,
 // the wrong trade at million-node scale.
+//
+//ckvet:allocs grows buffers only past their high-water mark
 func (cs *checkState) prealloc(k, deg int) {
 	halfK := k / 2
 	recvSpans := preallocRecvSpans(k, deg)
@@ -137,18 +142,30 @@ func (cs *checkState) prealloc(k, deg int) {
 	recvIDs := recvSpans * halfK
 	sentIDs := sentSpans * (halfK + 1)
 
-	ids := make([]ID, 0, recvIDs+sentIDs)
-	cs.recv.IDs = ids[0:0:recvIDs]
-	cs.sent.IDs = ids[recvIDs : recvIDs : recvIDs+sentIDs]
-	spans := make([]wire.Span, 0, recvSpans+sentSpans)
-	cs.recv.Spans = spans[0:0:recvSpans]
-	cs.sent.Spans = spans[recvSpans : recvSpans : recvSpans+sentSpans]
-	sigs := make([]uint64, 0, recvSpans+sentSpans)
-	cs.recvSigs = sigs[0:0:recvSpans]
-	cs.sentSigs = sigs[recvSpans : recvSpans : recvSpans+sentSpans]
-	cs.clean = make([]seqRef, 0, scratch)
-	cs.views = make([][]ID, 0, scratch)
-	cs.keptIdx = make([]int, 0, scratch)
+	if cap(cs.recv.IDs) < recvIDs || cap(cs.sent.IDs) < sentIDs {
+		ids := make([]ID, 0, recvIDs+sentIDs)
+		cs.recv.IDs = ids[0:0:recvIDs]
+		cs.sent.IDs = ids[recvIDs : recvIDs : recvIDs+sentIDs]
+	}
+	if cap(cs.recv.Spans) < recvSpans || cap(cs.sent.Spans) < sentSpans {
+		spans := make([]wire.Span, 0, recvSpans+sentSpans)
+		cs.recv.Spans = spans[0:0:recvSpans]
+		cs.sent.Spans = spans[recvSpans : recvSpans : recvSpans+sentSpans]
+	}
+	if cap(cs.recvSigs) < recvSpans || cap(cs.sentSigs) < sentSpans {
+		sigs := make([]uint64, 0, recvSpans+sentSpans)
+		cs.recvSigs = sigs[0:0:recvSpans]
+		cs.sentSigs = sigs[recvSpans : recvSpans : recvSpans+sentSpans]
+	}
+	if cap(cs.clean) < scratch {
+		cs.clean = make([]seqRef, 0, scratch)
+	}
+	if cap(cs.views) < scratch {
+		cs.views = make([][]ID, 0, scratch)
+	}
+	if cap(cs.keptIdx) < scratch {
+		cs.keptIdx = make([]int, 0, scratch)
+	}
 	cs.rep.Prealloc(k-2, sentSpans)
 }
 
@@ -342,9 +359,12 @@ func (cs *checkState) seq(ref seqRef) []ID {
 //
 // Implementation of line 35 (even k): the paper's Lemma 2 requires pairing a
 // sequence L1 ∈ S (length k/2, containing myid) with a sequence L2 of length
-// k/2 received at round ⌊k/2⌋ that does not contain myid; see DESIGN.md §3.1
-// for why the literal transcription ("received at round ⌊k/2⌋−1") cannot be
-// meant. The size condition |L1 ∪ L2 ∪ {myid}| = k then reduces to exact
+// k/2 received at round ⌊k/2⌋ that does not contain myid. The literal
+// transcription ("received at round ⌊k/2⌋−1") cannot be meant: sequences
+// received at round t have length t, so a round-(k/2−1) receipt paired with
+// L1 covers only k−1 nodes and no even cycle would ever be found
+// (TestEvenOddFinalCheckRegression pins this on C4..C10). The size
+// condition |L1 ∪ L2 ∪ {myid}| = k then reduces to exact
 // disjointness, which is what we check; every reported pair reconstructs a
 // genuine cycle because each sequence is a simple path ending at its sender
 // (Lemma 1), so the algorithm remains 1-sided.

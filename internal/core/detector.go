@@ -27,64 +27,82 @@ type EdgeDetector struct {
 	Trace *trace.Log
 }
 
-var _ congest.Program = (*EdgeDetector)(nil)
+var (
+	_ congest.Program  = (*EdgeDetector)(nil)
+	_ congest.Rebinder = (*EdgeDetector)(nil)
+)
 
 // Rounds returns ⌊k/2⌋, independent of the network size (Theorem 1).
 func (d *EdgeDetector) Rounds(n, m int) int { return d.K / 2 }
 
+// check panics on parameters no run can use, before any node is bound.
+func (d *EdgeDetector) check() {
+	if d.K < 3 {
+		d.invalid()
+	}
+}
+
+//ckvet:allocs invalid-program panic, the run never starts
+func (d *EdgeDetector) invalid() {
+	panic(fmt.Sprintf("core: EdgeDetector needs k >= 3, got %d", d.K))
+}
+
 // NewNode builds the per-node state.
 func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
-	if d.K < 3 {
-		panic(fmt.Sprintf("core: EdgeDetector needs k >= 3, got %d", d.K))
-	}
-	seeder := (info.ID == d.U && hasNeighbor(info.NeighborIDs, d.V)) ||
-		(info.ID == d.V && hasNeighbor(info.NeighborIDs, d.U))
-	n := &edgeDetNode{prog: d, info: info}
-	n.cs.prealloc(d.K, info.Degree())
-	n.cs.reset(d.K, d.U, d.V, 0, info.ID, seeder, d.Mode)
+	d.check()
+	n := &node{}
+	n.bindDetector(d, info)
 	return n
 }
 
-type edgeDetNode struct {
-	prog    *EdgeDetector
-	info    congest.NodeInfo
-	cs      checkState
-	metrics NodeMetrics
-	verdict Verdict // cached output, returned by pointer from Output
-	payload []byte  // reusable outgoing buffer; see testerNode
+// Rebind implements congest.Rebinder: it re-binds a node of a previous
+// run — of any Tester or EdgeDetector — to this detector, keeping its
+// buffers. The node ends up as NewNode(info) would have built it.
+//
+//ckvet:allocfree
+func (d *EdgeDetector) Rebind(nd congest.Node, info congest.NodeInfo) bool {
+	n, ok := nd.(*node)
+	if !ok {
+		return false
+	}
+	d.check()
+	n.bindDetector(d, info)
+	return true
 }
 
-var _ congest.ReusableNode = (*edgeDetNode)(nil)
-
-// Reset implements congest.ReusableNode: re-bind the node to a fresh run of
-// the same EdgeDetector without reallocating its arenas. The detector is
-// deterministic, so Reset just replays NewNode's initialization on the
-// retained buffers.
-func (n *edgeDetNode) Reset(info congest.NodeInfo) {
-	d := n.prog
+// bindDetector binds the node to d for a fresh run. The detector is
+// deterministic, so binding is the whole initialization: the check for
+// {U, V} starts here, seeded by the endpoints that really share the edge.
+//
+//ckvet:allocfree
+func (n *node) bindDetector(d *EdgeDetector, info congest.NodeInfo) {
+	n.cs.prealloc(d.K, info.Degree())
 	seeder := (info.ID == d.U && hasNeighbor(info.NeighborIDs, d.V)) ||
 		(info.ID == d.V && hasNeighbor(info.NeighborIDs, d.U))
 	n.info = info
-	n.metrics.reset()
+	n.tester, n.det = nil, d
+	n.k = d.K
+	n.active, n.rejected, n.witness = false, false, nil
+	n.metrics = NodeMetrics{}
 	n.cs.reset(d.K, d.U, d.V, 0, info.ID, seeder, d.Mode)
 }
 
-func (n *edgeDetNode) Send(round int, out [][]byte) {
+func (n *node) detSend(round int, out [][]byte) {
 	cnt := n.cs.sendSeqs(round)
-	n.metrics.observeSend(round, cnt, n.prog.K/2)
+	n.observeSend(round, cnt)
 	if cnt == 0 {
 		return
 	}
-	n.payload = wire.AppendCheckArena(n.payload[:0], n.cs.u, n.cs.v, 0, &n.cs.sent)
+	n.checkBuf = wire.AppendCheckArena(n.checkBuf[:0], n.cs.u, n.cs.v, 0, &n.cs.sent)
 	for p := range out {
-		out[p] = n.payload
+		out[p] = n.checkBuf
 	}
-	if n.prog.Trace != nil {
-		n.prog.Trace.Add(round, n.info.ID, "send", "broadcasts %s", formatArena(&n.cs.sent))
+	if n.det.Trace != nil {
+		n.det.Trace.Add(round, n.info.ID, "send", "broadcasts %s", formatArena(&n.cs.sent))
 	}
 }
 
-func (n *edgeDetNode) Receive(round int, in [][]byte) {
+func (n *node) detReceive(round int, in [][]byte) {
 	for _, payload := range in {
 		if payload == nil {
 			continue
@@ -101,20 +119,17 @@ func (n *edgeDetNode) Receive(round int, in [][]byte) {
 		}
 		n.cs.absorbView(round, &v)
 	}
-	if n.prog.Trace != nil && round == n.cs.recvRound && n.cs.recv.Len() > 0 {
-		n.prog.Trace.Add(round, n.info.ID, "recv", "holds %s", formatArena(&n.cs.recv))
+	if n.det.Trace != nil && round == n.cs.recvRound && n.cs.recv.Len() > 0 {
+		n.det.Trace.Add(round, n.info.ID, "recv", "holds %s", formatArena(&n.cs.recv))
 	}
 }
 
-func (n *edgeDetNode) Output() any {
-	reject, witness := n.cs.detect()
-	if reject && n.prog.Trace != nil {
-		n.prog.Trace.Add(n.prog.K/2, n.info.ID, "reject", "detects C%d %v", n.prog.K, witness)
+// detOutput runs the detector's final check into rejected/witness.
+func (n *node) detOutput() {
+	n.rejected, n.witness = n.cs.detect()
+	if n.rejected && n.det.Trace != nil {
+		n.det.Trace.Add(n.k/2, n.info.ID, "reject", "detects C%d %v", n.k, n.witness)
 	}
-	// Returned by pointer to keep output collection allocation-free; see
-	// testerNode.Output.
-	n.verdict = Verdict{Reject: reject, Witness: witness, Metrics: n.metrics}
-	return &n.verdict
 }
 
 func hasNeighbor(neighbors []ID, id ID) bool {

@@ -141,10 +141,10 @@ func TestTesterSwitchesHappen(t *testing.T) {
 	}
 }
 
-// TestEvenOddFinalCheckRegression pins the DESIGN.md §3.1 correction with
-// the smallest cases: C4 and C6 detection (even k) and C5/C7 (odd k) on
-// pure cycles, which the literal pseudocode transcription would miss
-// entirely for even k.
+// TestEvenOddFinalCheckRegression pins the even-k final-check correction
+// (see checkState.detect) with the smallest cases: C4 and C6 detection
+// (even k) and C5/C7 (odd k) on pure cycles, which the literal pseudocode
+// transcription would miss entirely for even k.
 func TestEvenOddFinalCheckRegression(t *testing.T) {
 	for _, k := range []int{4, 5, 6, 7, 8, 9, 10, 11} {
 		g := graph.Cycle(k)

@@ -59,7 +59,7 @@ func measureArenaDemand(t *testing.T, g *graph.Graph, k, reps int, seed uint64) 
 	halfK := k / 2
 	observe := func() {
 		for v := 0; v < n; v++ {
-			tn := nodes[v].(*testerNode)
+			tn := nodes[v].(*node)
 			deg := len(nbr[v])
 			if deg > d.maxDeg {
 				d.maxDeg = deg

@@ -35,7 +35,10 @@ type Tester struct {
 	Mode Mode
 }
 
-var _ congest.Program = (*Tester)(nil)
+var (
+	_ congest.Program  = (*Tester)(nil)
+	_ congest.Rebinder = (*Tester)(nil)
+)
 
 // Repetitions returns the number of two-phase repetitions this tester runs.
 func (t *Tester) Repetitions() int {
@@ -52,45 +55,68 @@ func (t *Tester) RoundsPerRep() int { return 1 + t.K/2 }
 // Rounds implements congest.Program; the total is independent of n and m.
 func (t *Tester) Rounds(n, m int) int { return t.Repetitions() * t.RoundsPerRep() }
 
-// NewNode builds the per-node state.
-func (t *Tester) NewNode(info congest.NodeInfo) congest.Node {
+// check panics on parameters no run can use, before any node is bound.
+func (t *Tester) check() {
+	if t.K < 3 || (t.Reps <= 0 && (t.Eps <= 0 || t.Eps >= 1)) {
+		t.invalid()
+	}
+}
+
+//ckvet:allocs invalid-program panic, the run never starts
+func (t *Tester) invalid() {
 	if t.K < 3 {
 		panic(fmt.Sprintf("core: Tester needs k >= 3, got %d", t.K))
 	}
-	if t.Reps <= 0 && (t.Eps <= 0 || t.Eps >= 1) {
-		panic("core: Tester needs Reps > 0 or Eps in (0,1)")
-	}
-	nn := uint64(info.N)
-	rankMax := nn * nn * nn * nn // [1, n⁴] ⊇ [1, m²]; see DESIGN.md §3.2
-	if rankMax == 0 {
-		rankMax = 1
-	}
-	n := &testerNode{
-		prog:      t,
-		info:      info,
-		rankMax:   rankMax,
-		edgeRanks: make([]uint64, info.Degree()),
-		mine:      make([]bool, info.Degree()),
-	}
-	n.cs.prealloc(t.K, info.Degree())
-	n.checkBuf = make([]byte, 0, 256)
+	panic("core: Tester needs Reps > 0 or Eps in (0,1)")
+}
+
+// NewNode builds the per-node state.
+func (t *Tester) NewNode(info congest.NodeInfo) congest.Node {
+	t.check()
+	n := &node{}
+	n.bindTester(t, info)
 	return n
 }
 
-type testerNode struct {
-	prog    *Tester
-	info    congest.NodeInfo
+// Rebind implements congest.Rebinder: it re-binds a node of a previous
+// run — of any Tester or EdgeDetector — to this tester, keeping its
+// buffers. The node ends up as NewNode(info) would have built it.
+//
+//ckvet:allocfree
+func (t *Tester) Rebind(nd congest.Node, info congest.NodeInfo) bool {
+	n, ok := nd.(*node)
+	if !ok {
+		return false
+	}
+	t.check()
+	n.bindTester(t, info)
+	return true
+}
+
+// node is the per-node state of both core programs. The Tester and the
+// EdgeDetector share this one type — a binding is a handful of scalars
+// over the same buffers — so a warm instance re-binds a node from either
+// program to the other (congest.Rebinder) without allocating.
+type node struct {
+	info congest.NodeInfo
+
+	// Binding: exactly one of tester and det is non-nil.
+	tester  *Tester
+	det     *EdgeDetector
+	k       int
+	per     int // tester rounds per repetition, 1 + ⌊k/2⌋
 	rankMax uint64
 
-	// Per-repetition Phase-1 state.
+	// Tester per-repetition Phase-1 state.
 	edgeRanks []uint64 // rank of the incident edge on each port
 	mine      []bool   // whether this node drew the rank for that port
 
-	cs       checkState // current (lowest-rank) check, valid when active
-	active   bool
+	cs       checkState // the tester's current (lowest-rank) check, or the detector's check
+	active   bool       // tester: cs holds a live check
 	rejected bool
 	witness  []ID
 	metrics  NodeMetrics
+	seqsBuf  []int   // backs metrics.MaxSeqsPerRound across bindings
 	verdict  Verdict // cached output, returned by pointer from Output
 
 	// Reusable outgoing-payload buffers. The engines guarantee payloads are
@@ -100,30 +126,118 @@ type testerNode struct {
 	checkBuf []byte
 }
 
-var _ congest.ReusableNode = (*testerNode)(nil)
+var _ congest.ReusableNode = (*node)(nil)
 
-// Reset implements congest.ReusableNode: re-bind the node to a fresh run of
-// the same Tester (typically with a different coin stream) without
-// reallocating its arenas. Phase-1 state (edgeRanks, mine) is rewritten by
-// startRepetition at round 1 and checkState is rewritten by selectCheck (or
-// by consider, on preemption) before first use, so only cross-repetition
-// state needs clearing here.
-func (n *testerNode) Reset(info congest.NodeInfo) {
+// Reset implements congest.ReusableNode: it re-binds the node to a fresh
+// run of the program it is bound to (typically with a different coin
+// stream) without reallocating its arenas.
+func (n *node) Reset(info congest.NodeInfo) {
+	if n.det != nil {
+		n.bindDetector(n.det, info)
+		return
+	}
+	n.bindTester(n.tester, info)
+}
+
+// bindTester binds the node to t for a fresh run. Phase-1 state (edgeRanks,
+// mine) is rewritten by startRepetition at round 1 and checkState is
+// rewritten by selectCheck (or by consider, on preemption) before first
+// use, so only cross-repetition state needs clearing here.
+//
+//ckvet:allocfree
+func (n *node) bindTester(t *Tester, info congest.NodeInfo) {
+	deg := info.Degree()
+	if cap(n.edgeRanks) < deg || cap(n.checkBuf) == 0 {
+		n.growTester(deg)
+	}
+	n.cs.prealloc(t.K, deg)
+	nn := uint64(info.N)
+	// Ranks are drawn from [1, n⁴] rather than the paper's [1, m²]: m ≤ n²
+	// makes it a superset, and every node knows n but not m (KT1). A
+	// wider range only lowers the collision probability of Lemma 5.
+	rankMax := nn * nn * nn * nn
+	if rankMax == 0 {
+		rankMax = 1
+	}
 	n.info = info
-	n.active = false
-	n.rejected = false
-	n.witness = nil
-	n.metrics.reset()
+	n.tester, n.det = t, nil
+	n.k, n.per, n.rankMax = t.K, t.RoundsPerRep(), rankMax
+	n.edgeRanks, n.mine = n.edgeRanks[:deg], n.mine[:deg]
+	n.active, n.rejected, n.witness = false, false, nil
+	n.metrics = NodeMetrics{}
+}
+
+// growTester sizes the tester-only buffers for a node of the given degree.
+//
+//ckvet:allocs first tester binding of a node
+func (n *node) growTester(deg int) {
+	if cap(n.edgeRanks) < deg {
+		n.edgeRanks = make([]uint64, deg)
+		n.mine = make([]bool, deg)
+	}
+	if cap(n.checkBuf) == 0 {
+		n.checkBuf = make([]byte, 0, 256)
+	}
+}
+
+// observeSend records a Phase-2 send of seqs sequences at local round t.
+// MaxSeqsPerRound is carved from seqsBuf at the first send of a run with
+// length ⌊k/2⌋ — nil until then, exactly like on a freshly built node.
+func (n *node) observeSend(t, seqs int) {
+	m := &n.metrics
+	if m.MaxSeqsPerRound == nil {
+		half := n.k / 2
+		if cap(n.seqsBuf) < half {
+			n.seqsBuf = make([]int, half)
+		}
+		m.MaxSeqsPerRound = n.seqsBuf[:half]
+		clear(m.MaxSeqsPerRound)
+	}
+	if seqs > m.MaxSeqsPerRound[t-1] {
+		m.MaxSeqsPerRound[t-1] = seqs
+	}
+	if seqs > m.MaxSeqs {
+		m.MaxSeqs = seqs
+	}
+}
+
+// Send dispatches to the bound program's round logic.
+func (n *node) Send(round int, out [][]byte) {
+	if n.det != nil {
+		n.detSend(round, out)
+		return
+	}
+	n.testerSend(round, out)
+}
+
+// Receive dispatches to the bound program's round logic.
+func (n *node) Receive(round int, in [][]byte) {
+	if n.det != nil {
+		n.detReceive(round, in)
+		return
+	}
+	n.testerReceive(round, in)
+}
+
+// Output returns the node's Verdict. It is cached in the node and returned
+// by pointer so that engine output collection does not box a multi-word
+// struct — the last per-node allocation on the reusable-network run path.
+// The pointee is valid until the node's next Reset or Rebind.
+func (n *node) Output() any {
+	if n.det != nil {
+		n.detOutput()
+	}
+	n.verdict = Verdict{Reject: n.rejected, Witness: n.witness, Metrics: n.metrics}
+	return &n.verdict
 }
 
 // phase decomposes a global round number into (repetition, local round);
 // local round 0 is the Phase-1 rank round, 1..⌊k/2⌋ are Phase-2 rounds.
-func (n *testerNode) phase(round int) (rep, local int) {
-	per := n.prog.RoundsPerRep()
-	return (round - 1) / per, (round - 1) % per
+func (n *node) phase(round int) (rep, local int) {
+	return (round - 1) / n.per, (round - 1) % n.per
 }
 
-func (n *testerNode) Send(round int, out [][]byte) {
+func (n *node) testerSend(round int, out [][]byte) {
 	_, local := n.phase(round)
 	if local == 0 {
 		n.startRepetition(out)
@@ -136,7 +250,7 @@ func (n *testerNode) Send(round int, out [][]byte) {
 		return
 	}
 	cnt := n.cs.sendSeqs(local)
-	n.metrics.observeSend(local, cnt, n.prog.K/2)
+	n.observeSend(local, cnt)
 	if cnt == 0 {
 		return
 	}
@@ -150,7 +264,7 @@ func (n *testerNode) Send(round int, out [][]byte) {
 // its smaller-ID endpoint, which draws a uniform rank in [1, rankMax] and
 // announces it across the edge. Rank payloads are carved out of one
 // pre-sized per-node buffer.
-func (n *testerNode) startRepetition(out [][]byte) {
+func (n *node) startRepetition(out [][]byte) {
 	n.active = false
 	const maxRankBytes = 11 // kind byte + 10-byte uvarint
 	if cap(n.rankBuf) < len(out)*maxRankBytes {
@@ -174,7 +288,7 @@ func (n *testerNode) startRepetition(out [][]byte) {
 // selectCheck picks the incident edge of minimum (rank, edge) and starts a
 // check for it. Ties are broken by the canonical edge order (min ID, max
 // ID), which is globally consistent.
-func (n *testerNode) selectCheck() {
+func (n *node) selectCheck() {
 	best := -1
 	var bu, bv ID
 	for p, nbr := range n.info.NeighborIDs {
@@ -188,12 +302,12 @@ func (n *testerNode) selectCheck() {
 	}
 	// The selected edge is incident, so this node is an endpoint of a real
 	// edge and must seed.
-	n.cs.reset(n.prog.K, bu, bv, n.edgeRanks[best], n.info.ID, true, n.prog.Mode)
+	n.cs.reset(n.k, bu, bv, n.edgeRanks[best], n.info.ID, true, n.tester.Mode)
 	n.active = true
 	n.metrics.ChecksStarted++
 }
 
-func (n *testerNode) Receive(round int, in [][]byte) {
+func (n *node) testerReceive(round int, in [][]byte) {
 	_, local := n.phase(round)
 	if local == 0 {
 		// Phase-1 rounds carry only rank announcements; anything else is
@@ -229,7 +343,7 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 	// repetitions skip the quadratic pair scan AND the witness assembly,
 	// which also keeps the reusable witness buffer (checkState.witBuf)
 	// pinned to the first detection for the rest of the run.
-	if local == n.prog.K/2 && n.active && !n.rejected {
+	if local == n.k/2 && n.active && !n.rejected {
 		if reject, wit := n.cs.detect(); reject {
 			n.rejected = true
 			n.witness = wit
@@ -241,7 +355,7 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 // discard if its check ranks worse than the current one, absorb if it is the
 // same check, and switch to it if it ranks better (§3.1). Discarded messages
 // never have their sequence bytes decoded.
-func (n *testerNode) consider(local int, c *wire.CheckView) {
+func (n *node) consider(local int, c *wire.CheckView) {
 	u, v := canonEdge(c.U, c.V)
 	if n.active {
 		if n.cs.sameEdge(u, v) {
@@ -263,18 +377,9 @@ func (n *testerNode) consider(local int, c *wire.CheckView) {
 	}
 	// Joining a check mid-flight: the seeding round has already passed, so
 	// the seeder flag is moot; pass false for clarity.
-	n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, n.prog.Mode)
+	n.cs.reset(n.k, u, v, c.Rank, n.info.ID, false, n.tester.Mode)
 	n.active = true
 	n.cs.absorbView(local, c)
-}
-
-func (n *testerNode) Output() any {
-	// The verdict is cached in the node and returned by pointer so that
-	// engine output collection does not box a multi-word struct — the last
-	// per-node allocation on the reusable-network run path. The pointee is
-	// valid until the node's next Reset.
-	n.verdict = Verdict{Reject: n.rejected, Witness: n.witness, Metrics: n.metrics}
-	return &n.verdict
 }
 
 // canonEdge orders an ID pair.

@@ -30,30 +30,6 @@ type NodeMetrics struct {
 	ChecksStarted int
 }
 
-// reset zeroes the counters in place for node reuse across runs. The
-// MaxSeqsPerRound slice keeps its backing array (observeSend re-fills it),
-// so a reused node allocates nothing on its next run.
-func (m *NodeMetrics) reset() {
-	for i := range m.MaxSeqsPerRound {
-		m.MaxSeqsPerRound[i] = 0
-	}
-	m.MaxSeqs = 0
-	m.Switches = 0
-	m.ChecksStarted = 0
-}
-
-func (m *NodeMetrics) observeSend(t, seqs, rounds int) {
-	if m.MaxSeqsPerRound == nil {
-		m.MaxSeqsPerRound = make([]int, rounds)
-	}
-	if seqs > m.MaxSeqsPerRound[t-1] {
-		m.MaxSeqsPerRound[t-1] = seqs
-	}
-	if seqs > m.MaxSeqs {
-		m.MaxSeqs = seqs
-	}
-}
-
 // Decision summarizes a whole network's outputs.
 type Decision struct {
 	// Reject is true iff at least one node rejected.

@@ -211,9 +211,10 @@ func TestChannelsRunSpawnsNoGoroutines(t *testing.T) {
 	// Goroutines from earlier tests' Closed networks exit asynchronously,
 	// so absolute counts are noisy; the assertions below are one-sided
 	// (spawned at least n on New, never grew across runs, shrank by at
-	// least n after Close).
+	// least n after Close). The baseline is taken only once those exits
+	// have drained, or they would cancel out New's spawns.
 	g := graph.Cycle(32)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	nw, err := network.New(g, network.Options{Engine: congest.EngineChannels})
 	if err != nil {
 		t.Fatal(err)
@@ -248,4 +249,25 @@ func TestChannelsRunSpawnsNoGoroutines(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("Close left goroutines behind: %d, had %d before Close", runtime.NumGoroutine(), peak)
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// falling: goroutines of networks that earlier tests closed exit
+// asynchronously, and a baseline sampled while they drain is too high.
+// It waits for the count to hold for several consecutive samples,
+// giving up (and returning the last sample) after a few seconds.
+func settledGoroutines() int {
+	const stable = 20
+	last, held := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); held < stable && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		now := runtime.NumGoroutine()
+		if now < last {
+			held = 0
+		} else {
+			held++
+		}
+		last = now
+	}
+	return last
 }

@@ -76,6 +76,21 @@ type ReusableNode interface {
 	Reset(info NodeInfo)
 }
 
+// Rebinder is an optional Program extension that lets a warm Instance keep
+// its nodes when the next run brings a DIFFERENT Program value: instead of
+// calling NewNode, the Instance offers each node of the previous (clean)
+// run to Rebind. Rebind either re-binds node to this program — leaving it
+// observably equivalent to what NewNode(info) would have produced, the
+// same contract as ReusableNode.Reset — and returns true, or leaves it
+// untouched and returns false, in which case the Instance builds that
+// vertex's node with NewNode. node may have been built by any program
+// (implementations must check its type); it is always the node of the same
+// vertex, so info's degree and ID match the node's previous binding.
+type Rebinder interface {
+	Program
+	Rebind(node Node, info NodeInfo) bool
+}
+
 // Config controls a simulation run.
 type Config struct {
 	// Seed seeds every node's private coin stream (per-node streams are

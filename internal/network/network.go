@@ -19,13 +19,16 @@
 // congest.Run pays: topology and ID validation (shared via the Compiled),
 // the flat payload tables, per-node RNG streams (reseeded in place per
 // run), the stats slabs, the engine itself — the BSP worker pool or the
-// channels engine's per-node goroutines, which park between runs — and,
-// when the same Program value is run repeatedly and its nodes implement
-// ReusableNode, the per-node program state. In that steady state RunProgram
-// performs zero heap allocations per run and spawns zero goroutines on BOTH
-// engines (locked by TestNetworkRunAllocFree) while producing results
-// byte-identical across engines and entry points (locked by
-// TestRunProgramMatchesCongest).
+// channels engine's per-node goroutines, which park between runs — and the
+// per-node program state: a node of the previous clean run is Reset when
+// the same Program value runs again (ReusableNode), or re-bound when a
+// different Program value implements Rebinder (the core Tester and
+// EdgeDetector do, across any K, Eps, Reps, Mode or edge). In that steady
+// state RunProgram performs zero heap allocations per run and spawns zero
+// goroutines on BOTH engines (locked by TestNetworkRunAllocFree and
+// TestRebindAllocFree) while producing results byte-identical across
+// engines, entry points and fresh builds (locked by
+// TestRunProgramMatchesCongest and TestRebindMatchesFresh).
 //
 // Error semantics are identical on both engines: a node panic is isolated
 // (the node goes silent, its pending payloads are dropped) and surfaces as
@@ -125,17 +128,25 @@ type Instance struct {
 
 	rngs []xrand.RNG // one persistent coin stream per vertex, reseeded per run
 
-	// Node cache: nodes built by the previous run, reusable when the same
-	// Program value is run again and every node implements ReusableNode.
+	// Node cache: nodes built by the previous run. They are Reset when the
+	// same Program value runs again and every node implements ReusableNode,
+	// and offered to Rebind when a different Program implements Rebinder.
+	// lastProg is nil whenever the cached nodes may be mid-state (a failed
+	// or cancelled run, or a Rebind pass that did not finish).
 	nodes    []Node
 	lastProg Program
 	reusable bool
 
-	// Per-run state sized by the program's round count; rebuilt only when
-	// the round count changes between runs.
+	// Per-run state sized by the program's round count. The per-round
+	// Stats rows are carved from three grow-only slabs (row 0 is res.Stats,
+	// row 1+i is perWorker[i]) and re-carved only when the round count
+	// changes, so alternating round counts reuses the slabs.
 	rounds    int
 	res       Result
 	perWorker []Stats // BSP: one per worker; channels: one per node
+	statMax   []int
+	statBits  []int64
+	statMsgs  []int64
 
 	// Unified failure state, engine-independent. errs[v] is vertex v's
 	// first failure; failed[v] silences a panicked node's program calls for
@@ -295,6 +306,7 @@ func (nw *Instance) buildBSP() {
 	}
 	nw.workers = workers
 	nw.hasErr = make([]bool, workers)
+	nw.perWorker = make([]Stats, workers)
 	if workers > 1 {
 		nw.pool = NewWorkerPool(workers, n)
 	}
@@ -443,6 +455,7 @@ func (nw *Instance) buildChannels() {
 	}
 	nw.chNodes = make([]chanNode, n)
 	nw.chStart = make([]chan struct{}, n)
+	nw.perWorker = make([]Stats, n)
 	for v := 0; v < n; v++ {
 		nw.chNodes[v] = chanNode{nw: nw, v: v}
 		nw.chStart[v] = make(chan struct{}, 1)
@@ -461,21 +474,16 @@ func (nw *Instance) buildChannels() {
 	}
 }
 
-// prepare re-arms the per-run state: stats slabs sized to the program's
-// round count (reallocated only when the count changes), freshly seeded coin
-// streams, cached-or-rebuilt nodes, and — only after a failed run — cleared
-// failure state.
+// prepare re-arms the per-run state: stats rows sized to the program's
+// round count (re-carved only when the count changes), freshly seeded coin
+// streams, reset, re-bound or rebuilt nodes, and — only after a failed run
+// — cleared failure state.
 func (nw *Instance) prepare(p Program, seed uint64) int {
 	n := nw.c.g.N()
 	rounds := p.Rounds(n, nw.c.g.M())
 	if rounds != nw.rounds {
 		nw.rounds = rounds
-		nw.res.Stats = NewStats(rounds)
-		slab := nw.workers
-		if nw.Engine() == EngineChannels {
-			slab = n
-		}
-		nw.perWorker = NewStatsSlab(slab, rounds)
+		nw.carveStats(rounds)
 	} else {
 		nw.res.Stats.Reset()
 		for i := range nw.perWorker {
@@ -507,15 +515,64 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 	if nw.nodes == nil {
 		nw.nodes = make([]Node, n)
 	}
+	nw.bindNodes(p)
+	return rounds
+}
+
+// bindNodes gives every vertex a node for p: the previous run's node
+// re-bound when p implements Rebinder and that run was clean, otherwise
+// (or when Rebind refuses) a new one from NewNode. lastProg is cleared
+// first, so a Rebind or NewNode that panics part-way leaves the cache
+// marked dirty and the next run rebuilds every node — the same recovery a
+// failed run takes. When every Rebind succeeds this allocates nothing.
+//
+//ckvet:allocfree
+func (nw *Instance) bindNodes(p Program) {
+	rb, rebind := p.(Rebinder)
+	rebind = rebind && nw.lastProg != nil
+	nw.lastProg = nil
 	nw.reusable = true
-	for v := 0; v < n; v++ {
-		nw.nodes[v] = p.NewNode(nw.c.topo.Info(v, &nw.rngs[v]))
+	for v := range nw.nodes {
+		info := nw.c.topo.Info(v, &nw.rngs[v])
+		if !rebind || !rb.Rebind(nw.nodes[v], info) {
+			nw.nodes[v] = p.NewNode(info)
+		}
 		if _, ok := nw.nodes[v].(ReusableNode); !ok {
 			nw.reusable = false
 		}
 	}
 	nw.lastProg = p
-	return rounds
+}
+
+// carveStats re-carves res.Stats and the per-worker rows for a new round
+// count from the instance's grow-only slabs, zeroed.
+//
+//ckvet:allocfree
+func (nw *Instance) carveStats(rounds int) {
+	need := (len(nw.perWorker) + 1) * rounds
+	if cap(nw.statBits) < need {
+		nw.growStats(need)
+	}
+	maxb, bits, msgs := nw.statMax[:need], nw.statBits[:need], nw.statMsgs[:need]
+	clear(maxb)
+	clear(bits)
+	clear(msgs)
+	nw.res.Stats = Stats{Rounds: rounds, PerRoundMaxBits: maxb[:rounds:rounds],
+		PerRoundBits: bits[:rounds:rounds], PerRoundMessages: msgs[:rounds:rounds]}
+	for i := range nw.perWorker {
+		lo, hi := (i+1)*rounds, (i+2)*rounds
+		nw.perWorker[i] = Stats{Rounds: rounds, PerRoundMaxBits: maxb[lo:hi:hi],
+			PerRoundBits: bits[lo:hi:hi], PerRoundMessages: msgs[lo:hi:hi]}
+	}
+}
+
+// growStats replaces the stats slabs with ones of need entries each.
+//
+//ckvet:allocs slab growth, once per new high-water round count
+func (nw *Instance) growStats(need int) {
+	nw.statMax = make([]int, need)
+	nw.statBits = make([]int64, need)
+	nw.statMsgs = make([]int64, need)
 }
 
 // RunProgram executes p against the network with the given seed. Results
@@ -524,10 +581,11 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 //
 // The returned Result (including its Outputs and Stats slices) is owned by
 // the Instance and is overwritten by the next RunProgram call; callers that
-// need it longer must copy what they keep. Passing the SAME Program value
-// on consecutive calls lets the Instance reuse the per-node program state
-// when the nodes support it (ReusableNode), which is what makes repeated
-// runs allocation-free.
+// need it longer must copy what they keep. The per-node program state of
+// the previous clean run is reused — Reset when p is the same Program value
+// and its nodes implement ReusableNode, re-bound when p is a different
+// value implementing Rebinder — which is what makes repeated runs
+// allocation-free; otherwise every node is built with NewNode.
 func (nw *Instance) RunProgram(p Program, seed uint64) (*Result, error) {
 	return nw.RunProgramCtx(context.Background(), p, seed)
 }

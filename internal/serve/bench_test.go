@@ -17,8 +17,8 @@ import (
 // on the accepting workload that is just Summarize, ~3 allocations). The
 // acceptance bar for the Compiled/Instance + warm-pool design is that a
 // cache-hit query — cache lookup, instance checkout, deadline bookkeeping,
-// context plumbing, run, summary, response — adds only a bounded constant
-// (~13 allocations) on top and never re-pays graph compilation or node
+// context plumbing, the query's Program value, run, summary, response —
+// adds only a bounded constant (~14 allocations) on top and never re-pays graph compilation or node
 // construction.
 //
 // Two workloads, because their floors differ by orders of magnitude:
@@ -31,7 +31,11 @@ import (
 //	           disappears in the noise.
 //
 // cached-query-parallel drives the reject workload from concurrent client
-// goroutines through the instance pool.
+// goroutines through the instance pool. mixed-query is the shape every
+// other variant misses: one warm G(n,4n) core, but consecutive queries
+// differ in k (3..7), repetitions (1..2) and operation (one detect in
+// five), so each query re-binds the instance's warm nodes to a new
+// program instead of resetting them for the same one.
 func BenchmarkServeConcurrent(b *testing.B) {
 	const n, k, reps = 256, 7, 8
 	tree, err := sweep.BuildGraph(sweep.GraphSpec{Family: "tree", N: n}, 0, 0, 7)
@@ -89,8 +93,9 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	b.Run("accept-floor", func(b *testing.B) { floor(b, tree) })
 	// accept-query runs with the full metrics catalog armed — every query
 	// bumps the per-stage histograms and the collector records every engine
-	// run — and must hold the same 16-alloc bar it held before metrics
-	// existed (bench-gate vs the committed snapshots enforces this).
+	// run — and must hold the 16-alloc bar it held before metrics existed,
+	// plus the query's own Program value: 17 (bench-gate vs the committed
+	// snapshots enforces this).
 	b.Run("accept-query", func(b *testing.B) { served(b, "tree", 0) })
 	// accept-query-traced adds a run-ID to the context, so the query also
 	// registers in the in-flight table: the full HTTP-path bookkeeping.
@@ -117,6 +122,37 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	})
 	b.Run("reject-floor", func(b *testing.B) { floor(b, gnm) })
 	b.Run("reject-query", func(b *testing.B) { served(b, "gnm", 4*n) })
+
+	b.Run("mixed-query", func(b *testing.B) {
+		s := NewServer(Options{})
+		defer s.Close()
+		edges := gnm.Edges()
+		// A 25-query cycle: k walks 3..7 at every repetition count, and
+		// each k is asked once as a detect on a graph edge.
+		req := func(i int) *QueryRequest {
+			gr := GraphRequest{Family: "gnm", N: n, M: 4 * n, Seed: 7}
+			k := 3 + i%5
+			if i%5 == (i/5)%5 {
+				e := edges[i%len(edges)]
+				edge := [2]int64{int64(e.U), int64(e.V)}
+				return &QueryRequest{Graph: gr, Op: OpDetect, K: k, Edge: &edge, Seed: uint64(i)}
+			}
+			return &QueryRequest{Graph: gr, K: k, Reps: 1 + (i/5)%2, Seed: uint64(i)}
+		}
+		ctx := context.Background()
+		for i := 0; i < 25; i++ {
+			if _, err := s.Query(ctx, req(i)); err != nil {
+				b.Fatal(err) // warm the cache, the instance and every arena size
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(ctx, req(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	b.Run("cached-query-parallel", func(b *testing.B) {
 		s := NewServer(Options{MaxInstances: 4})

@@ -170,11 +170,23 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// maxRequestBytes caps the body of a POST /query or /sweep request. It is
+// generous — an explicit edge list of ~400k edges fits — but bounds what a
+// single request can make the server buffer and parse.
+const maxRequestBytes = 8 << 20
+
+// decodeJSON parses a request body of at most maxRequestBytes into v,
+// answering 413 for a larger body and 400 for a malformed one.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		httpError(w, r, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, r, code, fmt.Errorf("serve: parsing request: %w", err))
 		return false
 	}
 	return true

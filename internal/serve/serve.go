@@ -296,15 +296,15 @@ type Server struct {
 }
 
 // worker is everything the server reuses across the queries one warm
-// instance serves: the cached Program values (so consecutive
-// same-parameter queries hit the ReusableNode fast path) and the
-// completion channel of the run-with-deadline handoff. It rides along with
-// the instance between checkouts as the corestore handle's Scratch.
+// instance serves — the completion channel of the run-with-deadline
+// handoff — plus that handoff's per-run slots. It rides along with the
+// instance between checkouts as the corestore handle's Scratch. The
+// instance itself keeps the per-node program state: every query brings
+// its own Program value, and the instance re-binds its warm nodes to it
+// (network.Rebinder) whatever its k, repetitions, mode or edge.
 type worker struct {
-	inst   *network.Instance
-	tester *core.Tester
-	det    *core.EdgeDetector
-	done   chan queryOutcome
+	inst *network.Instance
+	done chan queryOutcome
 
 	// Per-run inputs/outputs, set before the goroutine handoff. ctx is the
 	// query's context: the run aborts at its next round barrier once ctx
@@ -394,8 +394,7 @@ func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.
 
 // release returns a handle to the store, first dropping the dead request's
 // context and program so an idle worker doesn't pin the finished HTTP
-// request chain while parked. The tester/detector values stay on the
-// worker: they are the ReusableNode fast path for the next query.
+// request chain while parked.
 func (s *Server) release(h *corestore.Handle) {
 	if w, ok := h.Scratch.(*worker); ok {
 		w.ctx, w.prog = nil, nil
@@ -473,7 +472,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	w := workerFor(h)
-	w.arm(req)
+	w.prog, w.reps = req.program()
 	w.ctx = ctx
 	w.seed = req.Seed
 
@@ -543,29 +542,21 @@ func (s *Server) countQueryErr(ctx context.Context, err error) {
 	}
 }
 
-// arm binds the request's program to the worker, reusing the previous
-// Program value when the parameters match — the condition for the
-// instance's ReusableNode fast path, which is what keeps repeated cache-hit
-// queries near the reused-RunProgram allocation floor.
-func (w *worker) arm(req *QueryRequest) {
+// program builds the request's Program value and, for a tester, its
+// repetition count (0 for detectors).
+func (req *QueryRequest) program() (network.Program, int) {
 	mode := core.ModePruned
 	if req.Naive {
 		mode = core.ModeNaive
 	}
 	if req.Op == OpDetect {
-		if w.det == nil || w.det.K != req.K || w.det.U != req.Edge[0] || w.det.V != req.Edge[1] || w.det.Mode != mode {
-			w.det = &core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1], Mode: mode}
-		}
-		w.prog, w.reps = w.det, 0
-		return
+		return &core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1], Mode: mode}, 0
 	}
-	if w.tester == nil || w.tester.K != req.K || w.tester.Eps != req.Eps || w.tester.Reps != req.Reps || w.tester.Mode != mode {
-		w.tester = &core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps, Mode: mode}
-	}
-	w.prog, w.reps = w.tester, w.tester.Repetitions()
+	t := &core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps, Mode: mode}
+	return t, t.Repetitions()
 }
 
-// run executes the armed program under the query context and summarizes
+// run executes the request's program under the query context and summarizes
 // into a response. It runs in its own goroutine so the caller can answer
 // the client the moment the deadline fires; the run itself observes the
 // same context and aborts at its next round barrier, re-pooling the

@@ -511,6 +511,47 @@ func TestHTTPQueryAndStats(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimit: a request body past maxRequestBytes is refused with
+// 413 and the JSON error envelope on both POST endpoints, before anything
+// runs; a body just under the limit still parses.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Valid JSON padded with whitespace, so only the size can be at fault.
+	padded := func(body string, size int) string {
+		return body[:len(body)-1] + strings.Repeat(" ", size-len(body)) + "}"
+	}
+	query := `{"graph":{"family":"cycle","n":8},"k":5,"reps":1}`
+	for _, path := range []string{"/query", "/sweep"} {
+		resp, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(padded(query, maxRequestBytes+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope map[string]string
+		derr := json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversize body answered HTTP %d, want 413", path, resp.StatusCode)
+		}
+		if derr != nil || !strings.Contains(envelope["error"], "too large") {
+			t.Fatalf("%s: want the JSON error envelope, got %v (decode error %v)", path, envelope, derr)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(padded(query, maxRequestBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the limit: HTTP %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestHTTPSweepStreams(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()

@@ -830,9 +830,10 @@ var errUnwinding = errors.New("sweep: unwinding")
 // them into its Result row.
 func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progress, job Job) (Result, error) {
 	g := inst.Graph()
-	// One Program value for all trials: with congest.ReusableNode support
-	// the instance re-binds the cached per-node state instead of rebuilding
-	// it, making steady-state trials allocation-free.
+	// One Program value for all trials: the instance re-binds the previous
+	// job's warm nodes to it on the first trial (congest.Rebinder) and
+	// Resets them on every later one (congest.ReusableNode), so no trial
+	// rebuilds per-node state and steady-state trials allocate nothing.
 	prog := &core.Tester{K: job.K, Eps: job.Eps, Reps: spec.Reps}
 	r := Result{Job: job, N: g.N(), M: g.M(), Trials: spec.Trials, Reps: prog.Repetitions()}
 	jobStart := time.Now()
