@@ -6,7 +6,7 @@
 # exponential-q representative-selection guard, and the micro-benchmarks
 # behind them. The experiment benchmarks (E1-E12) are reproduction runs,
 # not perf-tracking targets.
-BENCH ?= TesterByK|EnginesCompare|NetworkReuse|BatchedTrials|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
+BENCH ?= TesterByK|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
 SNAPSHOT ?= BENCH_10.json
 
 # Maximum tolerated allocs/op regression (percent) between the two latest

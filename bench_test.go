@@ -1,7 +1,7 @@
 package cycledetect
 
-// One benchmark per reproduced table/figure (E1–E12, see DESIGN.md and
-// EXPERIMENTS.md), plus micro-benchmarks of the hot paths. Each experiment
+// One benchmark per reproduced table/figure (E1–E12, indexed by
+// internal/bench.All), plus micro-benchmarks of the hot paths. Each experiment
 // benchmark runs the corresponding harness experiment in quick mode and
 // aborts on claim violations, so `go test -bench=.` doubles as a
 // reproduction run.
@@ -16,7 +16,6 @@ import (
 	"cycledetect/internal/bench"
 	"cycledetect/internal/central"
 	"cycledetect/internal/combin"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -57,7 +56,7 @@ func BenchmarkTesterByK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog := &core.Tester{K: k, Reps: 1}
-				if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+				if _, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: uint64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,14 +72,14 @@ func BenchmarkEnginesCompare(b *testing.B) {
 	prog := &core.Tester{K: 6, Reps: 2}
 	b.Run("bsp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+			if _, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("channels", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := congest.RunChannels(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+			if _, err := network.Run(network.EngineChannels, g, prog, network.Config{Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,12 +89,12 @@ func BenchmarkEnginesCompare(b *testing.B) {
 // BenchmarkNetworkReuse is the sweep-workload benchmark behind the
 // internal/network subsystem: 100 single-repetition tester runs (different
 // seeds) on one 256-node G(n,4n) graph, executed the pre-PR way — a fresh
-// congest.RunWith per repetition, paying topology, engine, node and RNG
-// setup every time — versus on one reused Network with a cached Program, on
+// network.Run per repetition, paying topology, engine, node and RNG
+// setup every time — versus on one reused Instance with a cached Program, on
 // both engines. ("fresh"/"reused" are the BSP variants, keeping the
 // snapshot trajectory from BENCH_2.json; "fresh-channels"/"reused-channels"
 // additionally pay, or amortize, the channel fabric and the per-node
-// goroutines, which park between runs on a reused Network.) Both paths are
+// goroutines, which park between runs on a reused Instance.) Both paths are
 // verified to produce identical decisions and stats before timing. The
 // reused paths must be ≥5× cheaper in allocs/op (they are ~0 per repetition
 // in steady state; see TestNetworkRunAllocFree).
@@ -105,12 +104,16 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	const reps = 100
 	const k = 7
 
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		suffix := ""
-		if engine == congest.EngineChannels {
+		if engine == network.EngineChannels {
 			suffix = "-" + string(engine)
 		}
-		nw, err := network.New(g, network.Options{Engine: engine})
+		c, err := network.Compile(g, network.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw, err := c.NewInstance(network.InstanceOptions{Engine: engine})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +123,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 		// the fresh-run and reused-network paths.
 		checkProg := &core.Tester{K: k, Reps: 1}
 		for s := uint64(0); s < reps; s++ {
-			want, err := congest.RunWith(engine, g, &core.Tester{K: k, Reps: 1}, congest.Config{Seed: s})
+			want, err := network.Run(engine, g, &core.Tester{K: k, Reps: 1}, network.Config{Seed: s})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -130,7 +133,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 			wd, gd := core.Summarize(want.Outputs, want.IDs), core.Summarize(got.Outputs, got.IDs)
 			if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, got.Stats) {
-				b.Fatalf("%s seed %d: reused network diverged from congest.RunWith", engine, s)
+				b.Fatalf("%s seed %d: reused network diverged from network.Run", engine, s)
 			}
 		}
 
@@ -138,7 +141,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for s := uint64(0); s < reps; s++ {
 					prog := &core.Tester{K: k, Reps: 1}
-					if _, err := congest.RunWith(engine, g, prog, congest.Config{Seed: s}); err != nil {
+					if _, err := network.Run(engine, g, prog, network.Config{Seed: s}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -157,102 +160,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedTrials prices the batched-trial engine pass behind
-// Spec.BatchWidth on the sweep workload of BenchmarkNetworkReuse: 48
-// single-repetition tester trials (distinct seeds) on one 256-node
-// G(n,4n) graph per iteration, executed one at a time (w1, the sequential
-// baseline), and in batches of 4 and 16 lanes per pass (w4/w16) on both
-// engines. Every lane's decision and stats are verified against the
-// sequential run of its seed before timing — RunBatch is a throughput
-// knob, never a semantics knob — and the batched steady state must match
-// the sequential one at ~0 allocs/op (TestRunBatchAllocFree pins the
-// exact zero; the bench gate watches the trajectory).
-//
-// Read the ratios against the worker layout (README "Batched trials"):
-// batching amortizes per-round synchronization, so the w16/w1 gain
-// tracks the instance's worker count. On a single-CPU host the BSP
-// instances run poolless, the engine falls back to lane-at-a-time
-// windows, and w4/w16 land near parity with w1 (the residual gap is the
-// R× lane-slab cache footprint); the multiplicative win needs
-// multi-worker pools, where one barrier per phase serves R lanes.
-func BenchmarkBatchedTrials(b *testing.B) {
-	rng := xrand.New(10)
-	g := graph.ConnectedGNM(256, 1024, rng)
-	const trials = 48
-	const k = 7
-	prog := &core.Tester{K: k, Reps: 1}
-	c, err := network.Compile(g, network.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		seq, err := c.NewInstance(network.InstanceOptions{Engine: engine})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer seq.Close()
-		for _, width := range []int{1, 4, 16} {
-			name := fmt.Sprintf("%s-w%d", engine, width)
-			if width == 1 {
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						for s := uint64(0); s < trials; s++ {
-							if _, err := seq.RunProgram(prog, s); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-				})
-				continue
-			}
-			bat, err := c.NewInstance(network.InstanceOptions{Engine: engine, BatchWidth: width})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bat.Close()
-			seeds := make([]uint64, width)
-			runBatches := func(check bool) {
-				for lo := 0; lo < trials; lo += width {
-					chunk := seeds[:min(width, trials-lo)]
-					for i := range chunk {
-						chunk[i] = uint64(lo + i)
-					}
-					lanes, err := bat.RunBatch(context.Background(), prog, chunk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !check {
-						continue
-					}
-					for l, seed := range chunk {
-						if lanes[l].Err != nil {
-							b.Fatal(lanes[l].Err)
-						}
-						want, err := seq.RunProgram(prog, seed)
-						if err != nil {
-							b.Fatal(err)
-						}
-						wd := core.Summarize(want.Outputs, want.IDs)
-						gd := core.Summarize(lanes[l].Res.Outputs, lanes[l].Res.IDs)
-						if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, lanes[l].Res.Stats) {
-							b.Fatalf("%s seed %d: batched lane diverged from sequential", name, seed)
-						}
-					}
-				}
-			}
-			b.Run(name, func(b *testing.B) {
-				runBatches(true) // verify, and warm the lane slabs
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runBatches(false)
-				}
-			})
-		}
-	}
-}
-
 // cancelAtProg cancels its own run context from node 0's Send in round 1,
 // so BenchmarkCancelLatency measures the abort path in isolation.
 type cancelAtProg struct {
@@ -261,13 +168,13 @@ type cancelAtProg struct {
 }
 
 func (p *cancelAtProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelAtProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelAtProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelAtNode{p: p, id: info.ID}
 }
 
 type cancelAtNode struct {
 	p  *cancelAtProg
-	id congest.ID
+	id network.ID
 }
 
 func (cn *cancelAtNode) Send(round int, out [][]byte) {
@@ -292,13 +199,17 @@ func (cn *cancelAtNode) Output() any           { return nil }
 func BenchmarkCancelLatency(b *testing.B) {
 	rng := xrand.New(11)
 	g := graph.ConnectedGNM(256, 1024, rng)
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		maxOver := 1
-		if engine == congest.EngineChannels {
+		if engine == network.EngineChannels {
 			maxOver = 2 * network.StopRoundStride
 		}
 		b.Run(string(engine), func(b *testing.B) {
-			nw, err := network.New(g, network.Options{Engine: engine})
+			c, err := network.Compile(g, network.CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			nw, err := c.NewInstance(network.InstanceOptions{Engine: engine})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,8 +256,12 @@ func BenchmarkCancelOverhead(b *testing.B) {
 	rng := xrand.New(12)
 	g := graph.RandomTree(256, rng) // accepting workload: 0-alloc steady state
 	const k, reps = 7, 8
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
-		nw, err := network.New(g, network.Options{Engine: engine})
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
+		c, err := network.Compile(g, network.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw, err := c.NewInstance(network.InstanceOptions{Engine: engine})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,8 +394,10 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 }
 
-// BenchmarkPrunerVsBrute is the ablation for DESIGN.md §3.4: the bounded
-// hitting-set pruner versus the paper-literal 𝒳-materializing greedy on
+// BenchmarkPrunerVsBrute is the pruning ablation: the bounded hitting-set
+// pruner (a depth-≤q search, O_k(1) per list because Lemma 3 bounds the
+// kept family; see combin.Representatives) versus the paper-literal
+// 𝒳-materializing greedy, exponential in the number of known IDs, on
 // identical inputs (small enough that the brute force terminates).
 func BenchmarkPrunerVsBrute(b *testing.B) {
 	rng := xrand.New(8)
@@ -515,7 +432,7 @@ func BenchmarkTriangleBaseline(b *testing.B) {
 	g, _ := graph.FarFromCkFree(120, 3, 0.1, rng)
 	for i := 0; i < b.N; i++ {
 		prog := &core.TriangleTester{Eps: 0.1}
-		if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+		if _, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

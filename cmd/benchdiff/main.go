@@ -18,7 +18,10 @@
 //
 //	benchdiff -max-allocs-regress 5
 //
-// Benchmarks added or removed between snapshots are never gated.
+// Benchmarks added or removed between snapshots are never gated. When the
+// two snapshots were taken at different GOMAXPROCS (the "gomaxprocs"
+// header cmd/benchsnap records), a notice says so: ns/op and some allocs/op
+// figures depend on the worker count, so such a diff compares unlike runs.
 package main
 
 import (
@@ -40,6 +43,7 @@ type result struct {
 }
 
 type snapshot struct {
+	GOMAXPROCS int               `json:"gomaxprocs"`
 	Benchmarks map[string]result `json:"benchmarks"`
 }
 
@@ -89,6 +93,10 @@ func main() {
 	sort.Strings(sorted)
 
 	fmt.Printf("benchdiff: %s -> %s\n", filepath.Base(oldPath), filepath.Base(newPath))
+	if oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS {
+		fmt.Printf("benchdiff: note: GOMAXPROCS differs (%s -> %s); the snapshots compare unlike runs\n",
+			procs(oldSnap.GOMAXPROCS), procs(newSnap.GOMAXPROCS))
+	}
 	fmt.Printf("%-55s %15s %11s %15s %11s\n", "benchmark", "ns/op", "Δ", "allocs/op", "Δ")
 	var gateFailures []string
 	for _, n := range sorted {
@@ -177,6 +185,15 @@ func load(path string) (*snapshot, error) {
 		return nil, fmt.Errorf("benchdiff: %s has no benchmarks", path)
 	}
 	return &s, nil
+}
+
+// procs renders a snapshot's GOMAXPROCS; 0 means the snapshot predates
+// the header.
+func procs(n int) string {
+	if n == 0 {
+		return "unrecorded"
+	}
+	return strconv.Itoa(n)
 }
 
 // arrow renders "old -> new" compactly.

@@ -8,7 +8,12 @@
 //	go test -run=NONE -bench . -benchmem | go run ./cmd/benchsnap -o BENCH_1.json
 //
 // Lines that are not benchmark results (headers, PASS, ok) are ignored and
-// echoed to stderr so the run stays observable in a pipeline.
+// echoed to stderr so the run stays observable in a pipeline. The header
+// records the environment the numbers belong to: GOOS/GOARCH and the CPU
+// model from the test output, GOMAXPROCS from the -N suffix of the result
+// names (no suffix means 1), and the CPU count and Go version of the
+// machine taking the snapshot. A run spans many packages, so no single
+// package is recorded.
 package main
 
 import (
@@ -17,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +43,10 @@ type Result struct {
 type Snapshot struct {
 	GOOS       string            `json:"goos,omitempty"`
 	GOARCH     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
+	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
+	NumCPU     int               `json:"num_cpu,omitempty"`
+	GoVersion  string            `json:"go_version,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
@@ -46,7 +54,7 @@ func main() {
 	outPath := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	snap := Snapshot{Benchmarks: map[string]Result{}}
+	snap := Snapshot{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -56,13 +64,17 @@ func main() {
 			snap.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			snap.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			snap.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			if name, res, ok := parseBenchLine(line); ok {
+			if name, procs, res, ok := parseBenchLine(line); ok {
 				snap.Benchmarks[name] = res
+				if snap.GOMAXPROCS == 0 {
+					snap.GOMAXPROCS = procs
+				} else if procs != snap.GOMAXPROCS {
+					fmt.Fprintf(os.Stderr, "benchsnap: %s ran at GOMAXPROCS=%d, the header says %d\n",
+						name, procs, snap.GOMAXPROCS)
+				}
 				continue
 			}
 			fmt.Fprintln(os.Stderr, line)
@@ -100,28 +112,29 @@ func main() {
 //	BenchmarkName-8   123   456.7 ns/op   89 B/op   10 allocs/op   1.5 x/msg
 //
 // The name's -N GOMAXPROCS suffix is stripped so snapshots from machines
-// with different core counts stay comparable by key.
-func parseBenchLine(line string) (string, Result, bool) {
+// with different core counts stay comparable by key, and returned as procs
+// (go test omits the suffix at GOMAXPROCS=1).
+func parseBenchLine(line string) (name string, procs int, res Result, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	name := fields[0]
+	name, procs = fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	res := Result{Iterations: iters}
+	res = Result{Iterations: iters}
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", Result{}, false
+			return "", 0, Result{}, false
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -138,7 +151,7 @@ func parseBenchLine(line string) (string, Result, bool) {
 		}
 		seen = true
 	}
-	return name, res, seen
+	return name, procs, res, seen
 }
 
 // marshalStable renders the snapshot with benchmark keys sorted, so
@@ -158,8 +171,14 @@ func marshalStable(s *Snapshot) ([]byte, error) {
 	}
 	writeHeader("goos", s.GOOS)
 	writeHeader("goarch", s.GOARCH)
-	writeHeader("pkg", s.Pkg)
 	writeHeader("cpu", s.CPU)
+	if s.GOMAXPROCS > 0 {
+		fmt.Fprintf(&b, "  \"gomaxprocs\": %d,\n", s.GOMAXPROCS)
+	}
+	if s.NumCPU > 0 {
+		fmt.Fprintf(&b, "  \"num_cpu\": %d,\n", s.NumCPU)
+	}
+	writeHeader("go_version", s.GoVersion)
 	b.WriteString("  \"benchmarks\": {\n")
 	for i, n := range names {
 		item, err := json.Marshal(s.Benchmarks[n])

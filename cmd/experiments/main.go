@@ -1,6 +1,6 @@
 // Command experiments regenerates every reproduced table and figure
-// (E1–E12; see DESIGN.md for the index and EXPERIMENTS.md for the recorded
-// results). Each table prints the paper's claim, the measured values, and a
+// (E1–E12; internal/bench.All is the index, README "Experiments (E1–E12)"
+// the overview). Each table prints the paper's claim, the measured values, and a
 // PASS/FAIL line; the process exits non-zero if any claim is violated.
 //
 //	experiments             # full sweeps (about a minute)

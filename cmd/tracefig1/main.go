@@ -23,13 +23,7 @@ func main() {
 
 	log := &trace.Log{}
 	prog := &core.EdgeDetector{K: 5, U: 0, V: 1, Trace: log}
-	nw, err := network.New(g, network.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracefig1:", err)
-		os.Exit(1)
-	}
-	defer nw.Close()
-	res, err := nw.RunProgram(prog, 0)
+	res, err := network.Run(network.EngineBSP, g, prog, network.Config{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracefig1:", err)
 		os.Exit(1)

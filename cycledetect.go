@@ -30,9 +30,9 @@ import (
 	"errors"
 	"fmt"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 )
 
@@ -74,13 +74,13 @@ func (g *Graph) M() int { return g.b.M() }
 func (g *Graph) build() *graph.Graph { return g.b.Build() }
 
 // Engine names a simulation engine.
-type Engine = congest.Engine
+type Engine = network.Engine
 
 // Available engines. EngineBSP is a lockstep reference engine; EngineChannels
 // runs one goroutine per node with a buffered channel per directed edge.
 const (
-	EngineBSP      = congest.EngineBSP
-	EngineChannels = congest.EngineChannels
+	EngineBSP      = network.EngineBSP
+	EngineChannels = network.EngineChannels
 )
 
 // Options configures Test and DetectThroughEdge.
@@ -157,7 +157,7 @@ func Test(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps, Mode: opts.mode()}
-	res, err := congest.RunWith(opts.Engine, g.build(), prog, congest.Config{
+	res, err := network.Run(opts.Engine, g.build(), prog, network.Config{
 		Seed:          opts.Seed,
 		IDs:           opts.IDs,
 		BandwidthBits: opts.BandwidthBits,
@@ -183,7 +183,7 @@ func DetectThroughEdge(g *Graph, u, v int64, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("cycledetect: candidate edge endpoints equal (%d)", u)
 	}
 	prog := &core.EdgeDetector{K: opts.K, U: u, V: v, Mode: opts.mode()}
-	res, err := congest.RunWith(opts.Engine, g.build(), prog, congest.Config{
+	res, err := network.Run(opts.Engine, g.build(), prog, network.Config{
 		Seed:          opts.Seed,
 		IDs:           opts.IDs,
 		BandwidthBits: opts.BandwidthBits,
@@ -221,7 +221,7 @@ func validate(g *Graph, opts *Options, needEps bool) error {
 	return nil
 }
 
-func summarize(res *congest.Result) *Result {
+func summarize(res *network.Result) *Result {
 	dec := core.Summarize(res.Outputs, res.IDs)
 	return &Result{
 		Rejected:               dec.Reject,

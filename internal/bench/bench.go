@@ -1,5 +1,5 @@
-// Package bench is the experiment harness: one runner per experiment in
-// DESIGN.md's index (E1–E12), each regenerating the paper-shaped table or
+// Package bench is the experiment harness: one runner per experiment
+// E1–E12 (All is the index), each regenerating the paper-shaped table or
 // figure for that claim. The cmd/experiments binary prints all of them, and
 // the repository-root benchmarks wrap each runner in a testing.B target.
 //
@@ -16,7 +16,7 @@ import (
 
 // Table is one reproduced table or figure.
 type Table struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "E2").
+	// ID is the experiment identifier (e.g. "E2").
 	ID string
 	// Title is a human-readable name.
 	Title string
@@ -120,7 +120,7 @@ type Runner struct {
 	Run  func(Config) *Table
 }
 
-// All lists every experiment in DESIGN.md order.
+// All lists every experiment in index order, E1 to E12.
 func All() []Runner {
 	return []Runner{
 		{"E1", "RoundComplexity", RunE1},

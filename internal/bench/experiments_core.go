@@ -6,7 +6,6 @@ import (
 
 	"cycledetect/internal/central"
 	"cycledetect/internal/combin"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -16,29 +15,34 @@ import (
 )
 
 // run executes a core program on g and returns (decision, stats) through a
-// one-shot Network. Repetition-heavy experiments (E3, E4, E11) instead
-// build one Network per graph (via c.network) and call runOn per trial,
+// one-shot instance. Repetition-heavy experiments (E3, E4, E11) instead
+// build one instance per graph (via c.network) and call runOn per trial,
 // amortizing topology, engine, and node construction across all trials.
-func (c Config) run(g *graph.Graph, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
+func (c Config) run(g *graph.Graph, p network.Program, seed uint64) (core.Decision, network.Stats) {
 	nw := c.network(g)
 	defer nw.Close()
 	return runOn(nw, p, seed)
 }
 
-// network builds a reusable Network for g honoring the config's worker cap.
-func (c Config) network(g *graph.Graph) *network.Network {
-	nw, err := network.New(g, network.Options{Workers: c.Workers})
+// network compiles g and attaches a reusable BSP instance honoring the
+// config's worker cap.
+func (c Config) network(g *graph.Graph) *network.Instance {
+	cc, err := network.Compile(g, network.CompileOptions{})
+	if err != nil {
+		panic(fmt.Sprintf("bench: network build failed: %v", err))
+	}
+	nw, err := cc.NewInstance(network.InstanceOptions{Workers: c.Workers})
 	if err != nil {
 		panic(fmt.Sprintf("bench: network build failed: %v", err))
 	}
 	return nw
 }
 
-// runOn executes p on a reused Network. The returned Stats aliases the
-// Network's per-round slices, which the next run on the same Network
-// overwrites; experiments that reuse a Network read only scalar Stats
-// fields, and one-shot callers (run) retire the Network immediately.
-func runOn(nw *network.Network, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
+// runOn executes p on a reused instance. The returned Stats aliases the
+// instance's per-round slices, which the next run on the same instance
+// overwrites; experiments that reuse an instance read only scalar Stats
+// fields, and one-shot callers (run) retire the instance immediately.
+func runOn(nw *network.Instance, p network.Program, seed uint64) (core.Decision, network.Stats) {
 	res, err := nw.RunProgram(p, seed)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
@@ -149,7 +153,7 @@ func RunE3(cfg Config) *Table {
 	}
 	seeds := cfg.samples(20, 4)
 	for _, f := range families {
-		// One reusable Network per family, shared by every (k, seed) run.
+		// One reusable Instance per family, shared by every (k, seed) run.
 		nw := cfg.network(f.g)
 		for k := 3; k <= 8; k++ {
 			if central.HasCk(f.g, k) {
@@ -190,7 +194,7 @@ func RunE4(cfg Config) *Table {
 		eps := 0.08
 		g, _ := graph.FarFromCkFree(60, k, eps, rng)
 		// Both trial loops re-run the tester on the same graph; one reusable
-		// Network (and one Program value per loop, so the cached per-node
+		// Instance (and one Program value per loop, so the cached per-node
 		// state is re-bound rather than rebuilt) amortizes all setup.
 		nw := cfg.network(g)
 		// Amplified tester.

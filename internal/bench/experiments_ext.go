@@ -188,7 +188,7 @@ func RunE11(cfg Config) *Table {
 	for _, k := range []int{3, 4, 6} {
 		g, e := graph.PlantedCycle(n, k, n/4, rng)
 		want := central.HasCkThroughEdge(g, k, e)
-		// Every baseline runs on the same instance: one reusable Network
+		// Every baseline runs on the same instance: one reusable Instance
 		// serves them all (the programs differ, so only the topology,
 		// engine, and payload tables are amortized here).
 		nw := cfg.network(g)

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -25,16 +25,16 @@ func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 
 	prog := &Tester{K: 5, Reps: 1 << 20}
 	n := g.N()
-	nodes := make([]congest.Node, n)
-	nbr := make([][]congest.ID, n)
+	nodes := make([]network.Node, n)
+	nbr := make([][]network.ID, n)
 	for v := 0; v < n; v++ {
 		ns := g.Neighbors(v)
-		nbr[v] = make([]congest.ID, len(ns))
+		nbr[v] = make([]network.ID, len(ns))
 		for p, w := range ns {
-			nbr[v][p] = congest.ID(w)
+			nbr[v][p] = network.ID(w)
 		}
-		nodes[v] = prog.NewNode(congest.NodeInfo{
-			ID: congest.ID(v), N: n, NeighborIDs: nbr[v],
+		nodes[v] = prog.NewNode(network.NodeInfo{
+			ID: network.ID(v), N: n, NeighborIDs: nbr[v],
 			Rand: xrand.Stream(7, uint64(v)),
 		})
 	}
@@ -44,7 +44,7 @@ func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 		revPort[v] = make([]int, len(nbr[v]))
 		for p, w := range nbr[v] {
 			for q, x := range nbr[w] {
-				if x == congest.ID(v) {
+				if x == network.ID(v) {
 					revPort[v][p] = q
 				}
 			}

@@ -3,7 +3,7 @@
 //
 // The deterministic heart is Algorithm 1 ("DetectCk"), a pruned
 // append-and-forward search for a k-cycle through a fixed candidate edge
-// e = {u,v}, implemented by checkState in this file. Two congest.Programs
+// e = {u,v}, implemented by checkState in this file. Two network.Programs
 // wrap it:
 //
 //   - EdgeDetector (detector.go): Phase 2 alone, for a known edge — the
@@ -107,7 +107,7 @@ type checkState struct {
 // sent volume with the per-message count alone. Everything is carved from a
 // few typed slabs, so a node costs a constant number of setup allocations
 // regardless of its buffer sizes; undersized buffers just grow, they are
-// never a correctness concern — and with reusable Networks
+// never a correctness concern — and with reusable instances
 // (internal/network) any growth happens once per network lifetime, not once
 // per run.
 //

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/trace"
 	"cycledetect/internal/wire"
 )
@@ -28,8 +28,8 @@ type EdgeDetector struct {
 }
 
 var (
-	_ congest.Program  = (*EdgeDetector)(nil)
-	_ congest.Rebinder = (*EdgeDetector)(nil)
+	_ network.Program  = (*EdgeDetector)(nil)
+	_ network.Rebinder = (*EdgeDetector)(nil)
 )
 
 // Rounds returns ⌊k/2⌋, independent of the network size (Theorem 1).
@@ -48,19 +48,19 @@ func (d *EdgeDetector) invalid() {
 }
 
 // NewNode builds the per-node state.
-func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
+func (d *EdgeDetector) NewNode(info network.NodeInfo) network.Node {
 	d.check()
 	n := &node{}
 	n.bindDetector(d, info)
 	return n
 }
 
-// Rebind implements congest.Rebinder: it re-binds a node of a previous
+// Rebind implements network.Rebinder: it re-binds a node of a previous
 // run — of any Tester or EdgeDetector — to this detector, keeping its
 // buffers. The node ends up as NewNode(info) would have built it.
 //
 //ckvet:allocfree
-func (d *EdgeDetector) Rebind(nd congest.Node, info congest.NodeInfo) bool {
+func (d *EdgeDetector) Rebind(nd network.Node, info network.NodeInfo) bool {
 	n, ok := nd.(*node)
 	if !ok {
 		return false
@@ -75,7 +75,7 @@ func (d *EdgeDetector) Rebind(nd congest.Node, info congest.NodeInfo) bool {
 // {U, V} starts here, seeded by the endpoints that really share the edge.
 //
 //ckvet:allocfree
-func (n *node) bindDetector(d *EdgeDetector, info congest.NodeInfo) {
+func (n *node) bindDetector(d *EdgeDetector, info network.NodeInfo) {
 	n.cs.prealloc(d.K, info.Degree())
 	seeder := (info.ID == d.U && hasNeighbor(info.NeighborIDs, d.V)) ||
 		(info.ID == d.V && hasNeighbor(info.NeighborIDs, d.U))

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -24,16 +24,16 @@ func measureArenaDemand(t *testing.T, g *graph.Graph, k, reps int, seed uint64) 
 	t.Helper()
 	prog := &Tester{K: k, Reps: reps}
 	n := g.N()
-	nodes := make([]congest.Node, n)
-	nbr := make([][]congest.ID, n)
+	nodes := make([]network.Node, n)
+	nbr := make([][]network.ID, n)
 	for v := 0; v < n; v++ {
 		ns := g.Neighbors(v)
-		nbr[v] = make([]congest.ID, len(ns))
+		nbr[v] = make([]network.ID, len(ns))
 		for p, w := range ns {
-			nbr[v][p] = congest.ID(w)
+			nbr[v][p] = network.ID(w)
 		}
-		nodes[v] = prog.NewNode(congest.NodeInfo{
-			ID: congest.ID(v), N: n, NeighborIDs: nbr[v],
+		nodes[v] = prog.NewNode(network.NodeInfo{
+			ID: network.ID(v), N: n, NeighborIDs: nbr[v],
 			Rand: xrand.Stream(seed, uint64(v)),
 		})
 	}
@@ -42,7 +42,7 @@ func measureArenaDemand(t *testing.T, g *graph.Graph, k, reps int, seed uint64) 
 		revPort[v] = make([]int, len(nbr[v]))
 		for p, w := range nbr[v] {
 			for q, x := range nbr[w] {
-				if x == congest.ID(v) {
+				if x == network.ID(v) {
 					revPort[v][p] = q
 				}
 			}

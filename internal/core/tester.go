@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 	"cycledetect/internal/wire"
 )
@@ -36,8 +36,8 @@ type Tester struct {
 }
 
 var (
-	_ congest.Program  = (*Tester)(nil)
-	_ congest.Rebinder = (*Tester)(nil)
+	_ network.Program  = (*Tester)(nil)
+	_ network.Rebinder = (*Tester)(nil)
 )
 
 // Repetitions returns the number of two-phase repetitions this tester runs.
@@ -52,7 +52,7 @@ func (t *Tester) Repetitions() int {
 // round plus ⌊k/2⌋ Phase-2 rounds.
 func (t *Tester) RoundsPerRep() int { return 1 + t.K/2 }
 
-// Rounds implements congest.Program; the total is independent of n and m.
+// Rounds implements network.Program; the total is independent of n and m.
 func (t *Tester) Rounds(n, m int) int { return t.Repetitions() * t.RoundsPerRep() }
 
 // check panics on parameters no run can use, before any node is bound.
@@ -71,19 +71,19 @@ func (t *Tester) invalid() {
 }
 
 // NewNode builds the per-node state.
-func (t *Tester) NewNode(info congest.NodeInfo) congest.Node {
+func (t *Tester) NewNode(info network.NodeInfo) network.Node {
 	t.check()
 	n := &node{}
 	n.bindTester(t, info)
 	return n
 }
 
-// Rebind implements congest.Rebinder: it re-binds a node of a previous
+// Rebind implements network.Rebinder: it re-binds a node of a previous
 // run — of any Tester or EdgeDetector — to this tester, keeping its
 // buffers. The node ends up as NewNode(info) would have built it.
 //
 //ckvet:allocfree
-func (t *Tester) Rebind(nd congest.Node, info congest.NodeInfo) bool {
+func (t *Tester) Rebind(nd network.Node, info network.NodeInfo) bool {
 	n, ok := nd.(*node)
 	if !ok {
 		return false
@@ -96,9 +96,9 @@ func (t *Tester) Rebind(nd congest.Node, info congest.NodeInfo) bool {
 // node is the per-node state of both core programs. The Tester and the
 // EdgeDetector share this one type — a binding is a handful of scalars
 // over the same buffers — so a warm instance re-binds a node from either
-// program to the other (congest.Rebinder) without allocating.
+// program to the other (network.Rebinder) without allocating.
 type node struct {
-	info congest.NodeInfo
+	info network.NodeInfo
 
 	// Binding: exactly one of tester and det is non-nil.
 	tester  *Tester
@@ -126,12 +126,12 @@ type node struct {
 	checkBuf []byte
 }
 
-var _ congest.ReusableNode = (*node)(nil)
+var _ network.ReusableNode = (*node)(nil)
 
-// Reset implements congest.ReusableNode: it re-binds the node to a fresh
+// Reset implements network.ReusableNode: it re-binds the node to a fresh
 // run of the program it is bound to (typically with a different coin
 // stream) without reallocating its arenas.
-func (n *node) Reset(info congest.NodeInfo) {
+func (n *node) Reset(info network.NodeInfo) {
 	if n.det != nil {
 		n.bindDetector(n.det, info)
 		return
@@ -145,7 +145,7 @@ func (n *node) Reset(info congest.NodeInfo) {
 // use, so only cross-repetition state needs clearing here.
 //
 //ckvet:allocfree
-func (n *node) bindTester(t *Tester, info congest.NodeInfo) {
+func (n *node) bindTester(t *Tester, info network.NodeInfo) {
 	deg := info.Degree()
 	if cap(n.edgeRanks) < deg || cap(n.checkBuf) == 0 {
 		n.growTester(deg)

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 	"cycledetect/internal/xrand"
 )
 
 func runTester(t *testing.T, g *graph.Graph, prog *Tester, seed uint64) Decision {
 	t.Helper()
-	res, err := congest.Run(g, prog, congest.Config{Seed: seed})
+	res, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: seed})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestTesterWitnessAlwaysReal(t *testing.T) {
 		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
 		for k := 3; k <= 7; k++ {
 			prog := &Tester{K: k, Reps: 4}
-			res, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+			res, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: uint64(trial)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestTesterBandwidth(t *testing.T) {
 		g := graph.ConnectedGNM(n, 3*n, rng)
 		for _, k := range []int{4, 6, 8} {
 			prog := &Tester{K: k, Reps: 3}
-			res, err := congest.Run(g, prog, congest.Config{Seed: 5})
+			res, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +214,11 @@ func TestTesterEnginesAgree(t *testing.T) {
 		n := 10 + rng.Intn(15)
 		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
 		prog := &Tester{K: 5, Reps: 3}
-		a, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+		a, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := congest.RunChannels(g, prog, congest.Config{Seed: uint64(trial)})
+		b, err := network.Run(network.EngineChannels, g, prog, network.Config{Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestTesterRejectingNodesAreSound(t *testing.T) {
 	g := graph.Wheel(12)
 	for _, k := range []int{3, 4, 5, 6} {
 		prog := &Tester{K: k, Reps: 6}
-		res, err := congest.Run(g, prog, congest.Config{Seed: 77})
+		res, err := network.Run(network.EngineBSP, g, prog, network.Config{Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestTesterPanicsOnBadParams(t *testing.T) {
 		}()
 		fn()
 	}
-	info := congest.NodeInfo{ID: 0, N: 2, NeighborIDs: []congest.ID{1}, Rand: xrand.New(1)}
+	info := network.NodeInfo{ID: 0, N: 2, NeighborIDs: []network.ID{1}, Rand: xrand.New(1)}
 	assertPanics("k<3", func() { (&Tester{K: 2, Reps: 1}).NewNode(info) })
 	assertPanics("no eps no reps", func() { (&Tester{K: 3}).NewNode(info) })
 	assertPanics("bad eps", func() { (&Tester{K: 3, Eps: 1.5}).NewNode(info) })

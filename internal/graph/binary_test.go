@@ -44,7 +44,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("DecodeBinary left %d trailing bytes", len(rest))
 			}
 			if !Equal(g, dec) {
-				t.Fatalf("decoded graph differs: %s vs %s", Fingerprint(g), Fingerprint(dec))
+				t.Fatalf("decoded graph differs: %v vs %v", g.Edges(), dec.Edges())
 			}
 			if g.Fingerprint() != dec.Fingerprint() {
 				t.Fatalf("canonical fingerprint changed across round-trip")
@@ -159,25 +159,4 @@ func testGraphsOne(t *testing.T) *Graph {
 	b := NewBuilder(5)
 	b.AddCycle(0, 1, 2, 3, 4)
 	return b.Build()
-}
-
-// The structural and canonical fingerprints must agree on equality: they
-// key the same caches from different angles (readable diffs vs manifest
-// keys), so a graph pair may not match under one and differ under the other.
-func TestFingerprintsAgree(t *testing.T) {
-	gs := testGraphs(t)
-	names := make([]string, 0, len(gs))
-	for name := range gs {
-		names = append(names, name)
-	}
-	for _, a := range names {
-		for _, b := range names {
-			structEq := Fingerprint(gs[a]) == Fingerprint(gs[b])
-			canonEq := gs[a].Fingerprint() == gs[b].Fingerprint()
-			if structEq != canonEq {
-				t.Fatalf("fingerprints disagree for (%s,%s): structural=%v canonical=%v",
-					a, b, structEq, canonEq)
-			}
-		}
-	}
 }

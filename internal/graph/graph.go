@@ -117,11 +117,6 @@ func (g *Graph) MaxDegree() int {
 // (internal/corestore) keys its on-disk manifest by the same value, so a
 // warm-started cache indexes exactly like the live one
 // (TestManifestKeyMatchesServeCacheKey pins the equality).
-//
-// This is one of two fingerprints in the package; the package-level
-// Fingerprint function in io.go is the STRUCTURAL, human-readable one used
-// by tests to diff edge sets. Use the method for identity keys, the
-// function for failure messages.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	var buf [8]byte

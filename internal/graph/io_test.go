@@ -58,10 +58,10 @@ func TestFingerprintEquality(t *testing.T) {
 	a := Cycle(6)
 	b := Cycle(6)
 	c := Path(6)
-	if Fingerprint(a) != Fingerprint(b) {
+	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical graphs, different fingerprints")
 	}
-	if Fingerprint(a) == Fingerprint(c) {
+	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("different graphs, same fingerprint")
 	}
 	if Equal(a, c) {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -32,13 +31,13 @@ type cancelProg struct {
 }
 
 func (p *cancelProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelNode{p: p, id: info.ID}
 }
 
 type cancelNode struct {
 	p  *cancelProg
-	id congest.ID
+	id network.ID
 }
 
 func (cn *cancelNode) Send(round int, out [][]byte) {
@@ -63,10 +62,7 @@ func TestCancelMidRunBothEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			const rounds = 20
 			for trial := 0; trial < 8; trial++ {
@@ -116,14 +112,11 @@ func TestCancelBeforeRun(t *testing.T) {
 	g := graph.Cycle(12)
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			defer cancel()
-			_, err = nw.RunProgramCtx(ctx, &core.Tester{K: 5, Reps: 2}, 1)
+			_, err := nw.RunProgramCtx(ctx, &core.Tester{K: 5, Reps: 2}, 1)
 			var ce *network.ErrCanceled
 			if !errors.As(err, &ce) || ce.Round != 0 {
 				t.Fatalf("pre-cancelled run: got %v, want ErrCanceled at round 0", err)
@@ -144,10 +137,7 @@ func TestCancelAfterFailure(t *testing.T) {
 	g := graph.Path(4)
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -155,7 +145,7 @@ func TestCancelAfterFailure(t *testing.T) {
 			// BSP engine sees both at the same barrier; either way the
 			// contract is ErrCanceled and clean reuse.
 			prog := &cancelPanicProg{rounds: 6, cancelAt: 1, panicAt: 1, cancel: cancel}
-			_, err = nw.RunProgramCtx(ctx, prog, 1)
+			_, err := nw.RunProgramCtx(ctx, prog, 1)
 			if err == nil {
 				t.Fatal("expected an error")
 			}
@@ -177,13 +167,13 @@ type cancelPanicProg struct {
 }
 
 func (p *cancelPanicProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelPanicProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelPanicProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelPanicNode{p: p, id: info.ID, n: info.N}
 }
 
 type cancelPanicNode struct {
 	p  *cancelPanicProg
-	id congest.ID
+	id network.ID
 	n  int
 }
 
@@ -214,7 +204,7 @@ func TestConcurrentCancelsOneCompiled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := congest.RunWith(engine, g, &core.Tester{K: 5, Reps: 2}, congest.Config{Seed: 7})
+			want, err := network.Run(engine, g, &core.Tester{K: 5, Reps: 2}, network.Config{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,10 +257,7 @@ func TestRunCtxAllocFree(t *testing.T) {
 	g := graph.RandomTree(64, rng)
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

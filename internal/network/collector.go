@@ -42,10 +42,6 @@ type RunMetrics struct {
 	// FaultPlan (whatever the outcome — an injected cancellation reports
 	// Canceled and Injected).
 	Injected bool
-	// BatchWidth is the number of lanes the run shared its engine pass
-	// with: 1 for RunProgram/RunProgramCtx, len(seeds) for each lane of a
-	// RunBatch call (every lane emits its own record).
-	BatchWidth int
 }
 
 // RunCollector receives one record per run. Implementations must be safe
@@ -60,13 +56,7 @@ type RunCollector interface {
 // recordRun assembles the run's RunMetrics and hands it to the collector.
 // res is the engine's Result on success and ignored otherwise.
 func (nw *Instance) recordRun(c RunCollector, res *Result, err error, injected bool) {
-	nw.recordRunWidth(c, res, err, injected, 1)
-}
-
-// recordRunWidth is recordRun with the engine pass's lane count — 1 for
-// single runs, the batch's lane count for each RunBatch lane.
-func (nw *Instance) recordRunWidth(c RunCollector, res *Result, err error, injected bool, width int) {
-	m := RunMetrics{Engine: nw.Engine(), Injected: injected, BatchWidth: width}
+	m := RunMetrics{Engine: nw.Engine(), Injected: injected}
 	switch e := err.(type) {
 	case nil:
 		m.Rounds = res.Stats.Rounds

@@ -1,9 +1,7 @@
 // Equivalence, error-semantics, and allocation tests for the single-source
-// engine loops. This file is package network_test so it can drive the
-// internal/congest one-shot wrappers (which import network) against reused
-// Networks: every assertion that a reused Network matches congest.RunWith
-// is now an assertion that the warm, node-cached path of the one loop
-// matches its own single-use path.
+// engine loops. Run is a single-use Instance over the same loop, so every
+// assertion that a reused Instance matches Run is an assertion that the
+// warm, node-cached path of the one loop matches its own single-use path.
 package network_test
 
 import (
@@ -12,14 +10,28 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
-var engines = []congest.Engine{congest.EngineBSP, congest.EngineChannels}
+var engines = []network.Engine{network.EngineBSP, network.EngineChannels}
+
+// newInstance compiles g and attaches one instance, failing tb on error.
+// The caller closes the instance.
+func newInstance(tb testing.TB, g *graph.Graph, copts network.CompileOptions, iopts network.InstanceOptions) *network.Instance {
+	tb.Helper()
+	c, err := network.Compile(g, copts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nw, err := c.NewInstance(iopts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nw
+}
 
 // testGraphs returns the cross-engine equivalence fixtures: an accepting
 // tree, a rejecting ε-far instance (exercises witness state), a random
@@ -37,23 +49,20 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestRunProgramMatchesCongest locks the tentpole contract: a reused
-// Network produces results byte-identical to a fresh congest.RunWith for
+// TestRunProgramMatchesCongest locks the reuse contract: a reused
+// Instance produces results byte-identical to a fresh network.Run for
 // every graph, engine, program, and seed — including runs late in the
-// Network's life, after many node reuses with different seeds.
+// Instance's life, after many node reuses with different seeds.
 func TestRunProgramMatchesCongest(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, engine := range engines {
 			t.Run(name+"/"+string(engine), func(t *testing.T) {
-				nw, err := network.New(g, network.Options{Engine: engine})
-				if err != nil {
-					t.Fatal(err)
-				}
+				nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 				defer nw.Close()
 				// One Program value reused across seeds: the node-cache path.
 				prog := &core.Tester{K: 5, Reps: 2}
 				for seed := uint64(0); seed < 6; seed++ {
-					want, err := congest.RunWith(engine, g, &core.Tester{K: 5, Reps: 2}, congest.Config{Seed: seed})
+					want, err := network.Run(engine, g, &core.Tester{K: 5, Reps: 2}, network.Config{Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,7 +75,7 @@ func TestRunProgramMatchesCongest(t *testing.T) {
 				// Even k takes the sent-arena detect path; also a program
 				// switch on a live network (cache invalidation).
 				prog6 := &core.Tester{K: 6, Reps: 2}
-				want, err := congest.RunWith(engine, g, &core.Tester{K: 6, Reps: 2}, congest.Config{Seed: 11})
+				want, err := network.Run(engine, g, &core.Tester{K: 6, Reps: 2}, network.Config{Seed: 11})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,19 +95,16 @@ func TestRunProgramMatchesCongestDetector(t *testing.T) {
 	rng := xrand.New(7)
 	g := graph.ConnectedGNM(32, 96, rng)
 	e := g.Edges()[3]
-	ids := make([]congest.ID, g.N())
+	ids := make([]network.ID, g.N())
 	for v := range ids {
-		ids[v] = congest.ID(1000 + 3*v) // arbitrary distinct assignment
+		ids[v] = network.ID(1000 + 3*v) // arbitrary distinct assignment
 	}
 	prog := &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]}
 	for _, engine := range engines {
-		nw, err := network.New(g, network.Options{Engine: engine, IDs: ids})
-		if err != nil {
-			t.Fatal(err)
-		}
+		nw := newInstance(t, g, network.CompileOptions{IDs: ids}, network.InstanceOptions{Engine: engine})
 		for seed := uint64(0); seed < 3; seed++ {
-			want, err := congest.RunWith(engine, g, &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]},
-				congest.Config{Seed: seed, IDs: ids})
+			want, err := network.Run(engine, g, &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]},
+				network.Config{Seed: seed, IDs: ids})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,14 +124,11 @@ func TestRunProgramMatchesCongestDetector(t *testing.T) {
 func TestRunProgramSingleWorker(t *testing.T) {
 	rng := xrand.New(9)
 	g := graph.ConnectedGNM(40, 160, rng)
-	nw, err := network.New(g, network.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Workers: 1})
 	defer nw.Close()
 	prog := &core.Tester{K: 7, Reps: 2}
 	for seed := uint64(0); seed < 4; seed++ {
-		want, err := congest.Run(g, &core.Tester{K: 7, Reps: 2}, congest.Config{Seed: seed})
+		want, err := network.Run(network.EngineBSP, g, &core.Tester{K: 7, Reps: 2}, network.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +140,7 @@ func TestRunProgramSingleWorker(t *testing.T) {
 	}
 }
 
-func assertResultsEqual(t *testing.T, seed uint64, want, got *congest.Result) {
+func assertResultsEqual(t *testing.T, seed uint64, want, got *network.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.IDs, got.IDs) {
 		t.Fatalf("seed %d: ID assignment differs", seed)
@@ -151,7 +154,7 @@ func assertResultsEqual(t *testing.T, seed uint64, want, got *congest.Result) {
 }
 
 // TestNetworkRunAllocFree is the allocation regression for the tentpole:
-// once a Network and its cached nodes are warm, repeated RunProgram calls
+// once an Instance and its cached nodes are warm, repeated RunProgram calls
 // with the same Program value must not allocate at all — on EITHER engine.
 // For the channels engine this also locks the persistent-goroutine design:
 // a per-run goroutine spawn would show up as at least one allocation per
@@ -162,10 +165,7 @@ func TestNetworkRunAllocFree(t *testing.T) {
 	g := graph.RandomTree(64, rng)
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			prog := &core.Tester{K: 5, Reps: 4}
 			seed := uint64(0)
@@ -187,17 +187,14 @@ func TestNetworkRunAllocFree(t *testing.T) {
 	}
 }
 
-// TestCloseWithoutRun: a Network built and Closed without ever running a
+// TestCloseWithoutRun: an Instance built and Closed without ever running a
 // program must tear down cleanly — the channel engine's parked goroutines
 // may not have been scheduled yet when Close nils the start channels (a
 // -race catch for the engine teardown path).
 func TestCloseWithoutRun(t *testing.T) {
 	for _, engine := range engines {
 		for i := 0; i < 20; i++ {
-			nw, err := network.New(graph.Cycle(48), network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, graph.Cycle(48), network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			nw.Close()
 		}
 	}
@@ -205,20 +202,17 @@ func TestCloseWithoutRun(t *testing.T) {
 
 // TestChannelsRunSpawnsNoGoroutines pins the other half of the tentpole
 // contract directly: the channels engine's node goroutines are spawned by
-// New and parked between runs, so RunProgram on a warm Network leaves the
+// NewInstance and parked between runs, so RunProgram on a warm Instance leaves the
 // process goroutine count unchanged, and Close releases all of them.
 func TestChannelsRunSpawnsNoGoroutines(t *testing.T) {
 	// Goroutines from earlier tests' Closed networks exit asynchronously,
 	// so absolute counts are noisy; the assertions below are one-sided
-	// (spawned at least n on New, never grew across runs, shrank by at
+	// (spawned at least n on NewInstance, never grew across runs, shrank by at
 	// least n after Close). The baseline is taken only once those exits
-	// have drained, or they would cancel out New's spawns.
+	// have drained, or they would cancel out NewInstance's spawns.
 	g := graph.Cycle(32)
 	before := settledGoroutines()
-	nw, err := network.New(g, network.Options{Engine: congest.EngineChannels})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: network.EngineChannels})
 	after := runtime.NumGoroutine()
 	if after < before+g.N() {
 		t.Fatalf("New spawned %d goroutines; want at least %d (one per node)", after-before, g.N())

@@ -111,10 +111,7 @@ func TestFaultErrorsIdenticalAcrossEngines(t *testing.T) {
 		var msgs []string
 		for _, engine := range engines {
 			plan := seedPlan(kind, 2, 3, 7)
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			inst, err := nw.Compiled().NewInstance(network.InstanceOptions{Engine: engine, Faults: plan})
 			if err != nil {
 				t.Fatal(err)

@@ -2,10 +2,8 @@ package network
 
 // This file holds the CONGEST model's vocabulary — node programs, run
 // configuration, traffic statistics, the precomputed topology, and the
-// run errors. It moved here from internal/congest when the engine loops
-// were single-sourced under Network; internal/congest re-exports every
-// name via type aliases, so the public surface (and its "congest:" error
-// strings) is unchanged.
+// run errors. The errors keep their "congest:" prefix: it names the model,
+// and it is what the public API and the serve tier have always reported.
 
 import (
 	"fmt"
@@ -136,26 +134,6 @@ func NewStats(rounds int) Stats {
 		PerRoundBits:     make([]int64, rounds),
 		PerRoundMessages: make([]int64, rounds),
 	}
-}
-
-// NewStatsSlab returns count Stats whose per-round arrays are carved from
-// three shared backing slices, so per-node (or per-worker) accounting costs
-// a constant number of allocations instead of O(count).
-func NewStatsSlab(count, rounds int) []Stats {
-	ss := make([]Stats, count)
-	maxb := make([]int, count*rounds)
-	bits := make([]int64, count*rounds)
-	msgs := make([]int64, count*rounds)
-	for i := range ss {
-		lo, hi := i*rounds, (i+1)*rounds
-		ss[i] = Stats{
-			Rounds:           rounds,
-			PerRoundMaxBits:  maxb[lo:hi:hi],
-			PerRoundBits:     bits[lo:hi:hi],
-			PerRoundMessages: msgs[lo:hi:hi],
-		}
-	}
-	return ss
 }
 
 // Reset zeroes s in place for reuse across runs, keeping the per-round
@@ -342,7 +320,7 @@ func (t *Topology) RevPorts(v int) []int32 { return t.revPort[v] }
 
 // Info assembles vertex v's NodeInfo around a caller-owned RNG. The caller
 // must seed r to the node's coin stream — SeedStream(runSeed, uint64(ID)) —
-// which is how a Network reuses one RNG value per node across runs instead
+// which is how an Instance reuses one RNG value per node across runs instead
 // of allocating a fresh stream per run.
 func (t *Topology) Info(v int, r *xrand.RNG) NodeInfo {
 	return NodeInfo{

@@ -1,34 +1,54 @@
-// Package network is the home of the CONGEST simulator's execution
-// engines. The expensive, immutable part of a network — the graph, the
-// validated ID assignment, the precomputed port topology — is compiled ONCE
-// into a shareable Compiled core; per-run mutable state (payload tables,
-// coin streams, node cache, stats slabs, and a persistent execution engine)
+// Package network simulates the CONGEST model of distributed computing
+// (Peleg 2000), the model the paper's algorithm is designed for (§2.1), and
+// is the home of the simulator's execution engines.
+//
+// The network is a connected simple graph. Nodes hold distinct O(log n)-bit
+// identifiers, run the same program, and proceed in synchronous rounds; in
+// each round a node performs local computation, sends one message of
+// O(log n) bits along each incident edge, and receives the messages sent by
+// its neighbors in the same round.
+//
+// Two execution engines implement identical semantics:
+//
+//   - EngineBSP: a lockstep bulk-synchronous engine (reference
+//     implementation) over a persistent worker pool;
+//   - EngineChannels: one goroutine per node with a buffered channel per
+//     directed edge (an α-synchronizer), demonstrating the natural mapping
+//     of CONGEST rounds onto goroutines and channels.
+//
+// Both engines account for every message's size in bits, so experiments can
+// verify the O(log n) bandwidth claim, and can optionally enforce a hard
+// per-message budget.
+//
+// The expensive, immutable part of a network — the graph, the validated ID
+// assignment, the precomputed port topology — is compiled ONCE into a
+// shareable Compiled core; per-run mutable state (payload tables, coin
+// streams, node cache, stats slabs, and a persistent execution engine)
 // lives in an Instance attached to that core. Many programs are executed
 // against one Instance via RunProgram, and many Instances — on either
 // engine — attach to one Compiled with zero copying of the graph, which is
 // what lets N concurrent queries share one cached topology (see
-// internal/serve). The one-shot entry points in internal/congest (Run,
-// RunChannels, RunWith) are thin wrappers over New + RunProgram, so each
-// engine loop — including bandwidth accounting, panic isolation, and error
-// selection — exists exactly once, here.
+// internal/serve). Run is the one-shot entry point: it compiles, attaches
+// a single-use Instance, and runs one program, so each engine loop —
+// including bandwidth accounting, panic isolation, and error selection —
+// exists exactly once, here.
 //
 // The paper's tester is cheap per repetition — O(1/ε) rounds — so sweep
 // workloads (the E4/E11 harnesses, examples/sweep, cmd/sweep) are dominated
 // by re-building the same network hundreds of times when driven through
-// congest.Run. An Instance amortizes every per-run allocation that
-// congest.Run pays: topology and ID validation (shared via the Compiled),
-// the flat payload tables, per-node RNG streams (reseeded in place per
-// run), the stats slabs, the engine itself — the BSP worker pool or the
-// channels engine's per-node goroutines, which park between runs — and the
-// per-node program state: a node of the previous clean run is Reset when
-// the same Program value runs again (ReusableNode), or re-bound when a
-// different Program value implements Rebinder (the core Tester and
-// EdgeDetector do, across any K, Eps, Reps, Mode or edge). In that steady
-// state RunProgram performs zero heap allocations per run and spawns zero
-// goroutines on BOTH engines (locked by TestNetworkRunAllocFree and
-// TestRebindAllocFree) while producing results byte-identical across
-// engines, entry points and fresh builds (locked by
-// TestRunProgramMatchesCongest and TestRebindMatchesFresh).
+// Run. An Instance amortizes every per-run allocation that Run pays:
+// topology and ID validation (shared via the Compiled), the flat payload
+// tables, per-node RNG streams (reseeded in place per run), the stats
+// slabs, the engine itself — the BSP worker pool or the channels engine's
+// per-node goroutines, which park between runs — and the per-node program
+// state: a node of the previous clean run is Reset when the same Program
+// value runs again (ReusableNode), or re-bound when a different Program
+// value implements Rebinder (the core Tester and EdgeDetector do, across
+// any K, Eps, Reps, Mode or edge). In that steady state RunProgram performs
+// zero heap allocations per run and spawns zero goroutines on BOTH engines
+// (locked by TestNetworkRunAllocFree and TestRebindAllocFree) while
+// producing results byte-identical across engines, entry points and fresh
+// builds (locked by TestRunProgramMatchesCongest and TestRebindMatchesFresh).
 //
 // Error semantics are identical on both engines: a node panic is isolated
 // (the node goes silent, its pending payloads are dropped) and surfaces as
@@ -49,8 +69,8 @@
 //
 // A single Instance is NOT safe for concurrent RunProgram calls; concurrent
 // workloads attach one Instance per goroutine to a shared Compiled
-// (internal/serve pools warm Instances this way), or give each worker its
-// own Network (see internal/sweep).
+// (internal/serve pools warm Instances this way, and internal/sweep gives
+// each scheduler worker its own).
 package network
 
 import (
@@ -65,23 +85,6 @@ import (
 	"cycledetect/internal/graph"
 	"cycledetect/internal/xrand"
 )
-
-// Options fixes the whole per-network configuration in one struct — the
-// union of CompileOptions and InstanceOptions, kept for the build-and-run
-// callers (congest's one-shot wrappers, sweep workers) that neither share a
-// Compiled nor vary the engine.
-type Options struct {
-	// Engine selects the execution engine; empty means EngineBSP.
-	Engine Engine
-	// IDs optionally assigns identifiers to vertices (see Config).
-	IDs []ID
-	// BandwidthBits, if positive, is a hard per-message budget in bits.
-	BandwidthBits int
-	// Workers caps the BSP worker pool (0 means GOMAXPROCS). Sweep
-	// schedulers that run many Networks concurrently set this low so the
-	// product of networks and workers matches the hardware.
-	Workers int
-}
 
 // nodeErr is one vertex's first failure in a run — a panic or a bandwidth
 // violation — tagged with its rank so the run error can be selected
@@ -119,9 +122,8 @@ func failureRank(what string, round, rounds int) (int, int) {
 }
 
 // Instance is the per-run mutable state slab of a network, attached to an
-// immutable Compiled core. Build one with Compiled.NewInstance (or New,
-// which compiles and attaches in one step), run many programs with
-// RunProgram, release the engine with Close.
+// immutable Compiled core. Build one with Compiled.NewInstance, run many
+// programs with RunProgram, release the engine with Close.
 type Instance struct {
 	c     *Compiled
 	iopts InstanceOptions
@@ -191,37 +193,41 @@ type Instance struct {
 	chWG      sync.WaitGroup
 	chRounds  int
 	abortRank atomic.Int64 // lowest failure rank so far; noAbort when clean
-
-	// Batched execution state (see batch.go); nil unless the instance was
-	// built with BatchWidth > 1. batchActive routes the woken channel-node
-	// goroutines into the batched round loop (written before the chStart
-	// wakeups, so the sends order it). laneOne is the width-1 RunBatch
-	// delegation's reusable result slice.
-	batch       *batchState
-	batchActive bool
-	laneOne     []LaneResult
 }
-
-// Network is the historical name of an Instance bundled with its own
-// private Compiled — the build-and-run shape every pre-serving caller uses.
-// The alias keeps that vocabulary: code that never shares a core keeps
-// saying Network/New, code that does says Compiled/Instance.
-type Network = Instance
 
 // noAbort is abortRank's value while no failure has been recorded.
 const noAbort = math.MaxInt64
 
-// New compiles g and attaches a single Instance in one step — the
-// build-and-run entry point for callers that do not share the compiled core.
-// The returned Network owns a persistent engine — the BSP worker pool or
-// the channels engine's parked per-node goroutines; call Close to release
-// it.
-func New(g *graph.Graph, opts Options) (*Network, error) {
-	c, err := Compile(g, CompileOptions{IDs: opts.IDs, BandwidthBits: opts.BandwidthBits})
+// Run executes program p on graph g on the selected engine ("" means
+// EngineBSP) through a single-use Instance: it compiles g under cfg's IDs
+// and budget, runs one program with cfg.Seed, and releases the engine.
+// An unknown engine is an error. On the BSP engine every node's Send for
+// round r completes before any delivery, and every delivery completes
+// before any Receive returns control to round r+1; the channels engine
+// produces identical results.
+//
+// The Result stays valid after the engine is released and nothing
+// overwrites it, so the caller owns it. Workloads that run many programs
+// on one graph should Compile once and reuse an Instance instead (see
+// internal/sweep).
+func Run(engine Engine, g *graph.Graph, p Program, cfg Config) (*Result, error) {
+	// Checked before compiling, so a bad engine costs no O(m) build and
+	// reports with the model's "congest:" prefix like every run error.
+	switch engine {
+	case EngineBSP, EngineChannels, "":
+	default:
+		return nil, fmt.Errorf("congest: unknown engine %q", engine)
+	}
+	c, err := Compile(g, CompileOptions{IDs: cfg.IDs, BandwidthBits: cfg.BandwidthBits})
 	if err != nil {
 		return nil, err
 	}
-	return c.NewInstance(InstanceOptions{Engine: opts.Engine, Workers: opts.Workers})
+	nw, err := c.NewInstance(InstanceOptions{Engine: engine})
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
+	return nw.RunProgram(p, cfg.Seed)
 }
 
 // init allocates the engine-independent per-instance state: payload
@@ -440,7 +446,7 @@ func panicError(id ID, what string, round int, p any) error {
 // plus one goroutine per node. The goroutines park on chStart between runs
 // and are released by Close, so a run on a built Instance spawns no
 // goroutines at all — the fix for the per-run goroutine-per-node spawns the
-// pre-inversion engine paid even on a reused Network.
+// pre-inversion engine paid even on a reused network.
 func (nw *Instance) buildChannels() {
 	g, n := nw.c.g, nw.c.g.N()
 	nw.ch = make([][]chan []byte, n)
@@ -463,11 +469,7 @@ func (nw *Instance) buildChannels() {
 		// goroutine first scheduled after that must not read the field.
 		go func(cn *chanNode, start <-chan struct{}) {
 			for range start {
-				if nw.batchActive {
-					cn.runBatch()
-				} else {
-					cn.run()
-				}
+				cn.run()
 				nw.chWG.Done()
 			}
 		}(&nw.chNodes[v], nw.chStart[v])
@@ -576,8 +578,8 @@ func (nw *Instance) growStats(need int) {
 }
 
 // RunProgram executes p against the network with the given seed. Results
-// are byte-identical to congest.RunWith(engine, g, p, cfg) for the same
-// configuration and seed (those entry points are wrappers over this one).
+// are byte-identical to Run(engine, g, p, cfg) for the same configuration
+// and seed (Run is a wrapper over this one).
 //
 // The returned Result (including its Outputs and Stats slices) is owned by
 // the Instance and is overwritten by the next RunProgram call; callers that

@@ -7,7 +7,7 @@ import "sync"
 // static contiguous shard of the vertex range. The seed implementation
 // re-created goroutines and a work channel for every phase (3× per round);
 // the pool replaces that with one channel send per worker per phase. A
-// WorkerPool outlives individual runs — a Network keeps one alive across
+// WorkerPool outlives individual runs — an Instance keeps one alive across
 // many RunProgram calls — so Close must be called when done.
 type WorkerPool struct {
 	workers int

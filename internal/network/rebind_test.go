@@ -176,10 +176,7 @@ func TestRebindAllocFree(t *testing.T) {
 	}
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := newInstance(t, g, network.CompileOptions{}, network.InstanceOptions{Engine: engine})
 			defer nw.Close()
 			seed := uint64(0)
 			cycle := func() {

@@ -1,4 +1,4 @@
-package congest
+package network
 
 import (
 	"encoding/binary"
@@ -53,7 +53,7 @@ func (e *echoNode) Output() any { return e.log }
 
 func TestDeliveryMatchesTopology(t *testing.T) {
 	g := graph.Cycle(5)
-	res, err := Run(g, &echoProgram{rounds: 3}, Config{})
+	res, err := Run(EngineBSP, g, &echoProgram{rounds: 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestEnginesIdenticalOnEcho(t *testing.T) {
 			m = max
 		}
 		g := graph.ConnectedGNM(n, m, rng)
-		a, err := Run(g, &echoProgram{rounds: 4}, Config{})
+		a, err := Run(EngineBSP, g, &echoProgram{rounds: 4}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunChannels(g, &echoProgram{rounds: 4}, Config{})
+		b, err := Run(EngineChannels, g, &echoProgram{rounds: 4}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestEnginesIdenticalOnEcho(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	g := graph.Complete(4) // 6 edges, 12 directed
-	res, err := Run(g, &echoProgram{rounds: 2}, Config{})
+	res, err := Run(EngineBSP, g, &echoProgram{rounds: 2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func (b *bigTalkerNode) Output() any           { return nil }
 
 func TestBandwidthEnforcement(t *testing.T) {
 	g := graph.Path(3)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		_, err := run(g, &bigTalker{size: 100}, Config{BandwidthBits: 64})
+	for _, engine := range []Engine{EngineBSP, EngineChannels} {
+		_, err := Run(engine, g, &bigTalker{size: 100}, Config{BandwidthBits: 64})
 		if err == nil {
 			t.Fatal("expected bandwidth error")
 		}
@@ -156,7 +156,7 @@ func TestBandwidthEnforcement(t *testing.T) {
 			t.Fatalf("bad error detail %+v", be)
 		}
 		// Under the budget: must succeed.
-		if _, err := run(g, &bigTalker{size: 4}, Config{BandwidthBits: 64}); err != nil {
+		if _, err := Run(engine, g, &bigTalker{size: 4}, Config{BandwidthBits: 64}); err != nil {
 			t.Fatalf("under-budget run failed: %v", err)
 		}
 	}
@@ -170,11 +170,11 @@ func TestIDValidation(t *testing.T) {
 		"negative": {-1, 0, 1},
 	}
 	for name, ids := range cases {
-		if _, err := Run(g, &echoProgram{rounds: 1}, Config{IDs: ids}); err == nil {
+		if _, err := Run(EngineBSP, g, &echoProgram{rounds: 1}, Config{IDs: ids}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, err := Run(g, &echoProgram{rounds: 1}, Config{IDs: []ID{10, 5, 99}}); err != nil {
+	if _, err := Run(EngineBSP, g, &echoProgram{rounds: 1}, Config{IDs: []ID{10, 5, 99}}); err != nil {
 		t.Errorf("valid custom IDs rejected: %v", err)
 	}
 }
@@ -183,7 +183,7 @@ func TestNodeInfoContents(t *testing.T) {
 	g := graph.Star(4) // center 0
 	var captured []NodeInfo
 	probe := &probeProgram{capture: &captured}
-	if _, err := Run(g, probe, Config{Seed: 9, IDs: []ID{100, 200, 300, 400}}); err != nil {
+	if _, err := Run(EngineBSP, g, probe, Config{Seed: 9, IDs: []ID{100, 200, 300, 400}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(captured) != 4 {
@@ -233,7 +233,7 @@ func TestPerNodeRandomnessDeterministic(t *testing.T) {
 		g := graph.Path(3)
 		var vals []uint64
 		p := &coinProgram{out: &vals}
-		if _, err := Run(g, p, Config{Seed: seed, IDs: ids}); err != nil {
+		if _, err := Run(EngineBSP, g, p, Config{Seed: seed, IDs: ids}); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -265,18 +265,18 @@ func (p *coinProgram) NewNode(info NodeInfo) Node {
 	return &silentNode{}
 }
 
-func TestRunWithDispatch(t *testing.T) {
+func TestRunDispatch(t *testing.T) {
 	g := graph.Path(2)
-	if _, err := RunWith(EngineBSP, g, &echoProgram{rounds: 1}, Config{}); err != nil {
+	if _, err := Run(EngineBSP, g, &echoProgram{rounds: 1}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWith(EngineChannels, g, &echoProgram{rounds: 1}, Config{}); err != nil {
+	if _, err := Run(EngineChannels, g, &echoProgram{rounds: 1}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWith("", g, &echoProgram{rounds: 1}, Config{}); err != nil {
+	if _, err := Run("", g, &echoProgram{rounds: 1}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWith("bogus", g, &echoProgram{rounds: 1}, Config{}); err == nil {
+	if _, err := Run("bogus", g, &echoProgram{rounds: 1}, Config{}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -310,7 +310,7 @@ func TestChannelEnginePanicRecovery(t *testing.T) {
 	// Star: panicking center would deadlock leaves without nil-delivery on
 	// panic. Use a 2-node graph so the surviving node finishes regardless.
 	g := graph.Path(2)
-	_, err := RunChannels(g, panicProgram{}, Config{})
+	_, err := Run(EngineChannels, g, panicProgram{}, Config{})
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
 	}
@@ -325,7 +325,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	runWith := func(procs int) []any {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		res, err := Run(g, &echoProgram{rounds: 5}, Config{Seed: 7})
+		res, err := Run(EngineBSP, g, &echoProgram{rounds: 5}, Config{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,8 +355,8 @@ func (c constNode) Output() any           { return c.id }
 
 func TestZeroRoundProgram(t *testing.T) {
 	g := graph.Path(4)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		res, err := run(g, zeroProgram{}, Config{})
+	for _, engine := range []Engine{EngineBSP, EngineChannels} {
+		res, err := Run(engine, g, zeroProgram{}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestZeroRoundProgram(t *testing.T) {
 // TestSingleNodeGraph: a 1-vertex network (no edges) runs without issue.
 func TestSingleNodeGraph(t *testing.T) {
 	g := graph.NewBuilder(1).Build()
-	res, err := Run(g, &echoProgram{rounds: 3}, Config{})
+	res, err := Run(EngineBSP, g, &echoProgram{rounds: 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +388,8 @@ func TestSingleNodeGraph(t *testing.T) {
 func TestPerRoundStatsConsistency(t *testing.T) {
 	rng := xrand.New(55)
 	g := graph.ConnectedGNM(12, 30, rng)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		res, err := run(g, &echoProgram{rounds: 4}, Config{})
+	for _, engine := range []Engine{EngineBSP, EngineChannels} {
+		res, err := Run(engine, g, &echoProgram{rounds: 4}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,11 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 
 	floor := func(b *testing.B, g *graph.Graph) {
-		nw, err := network.New(g, network.Options{Workers: 1})
+		c, err := network.Compile(g, network.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw, err := c.NewInstance(network.InstanceOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,17 +13,17 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
 )
 
-// freshDecision runs the same query as a one-shot congest run and
+// freshDecision runs the same query as a one-shot network.Run and
 // summarizes it — the ground truth a served query must reproduce exactly.
-func freshDecision(t *testing.T, g *graph.Graph, engine congest.Engine, k, reps int, eps float64, seed uint64) core.Decision {
+func freshDecision(t *testing.T, g *graph.Graph, engine network.Engine, k, reps int, eps float64, seed uint64) core.Decision {
 	t.Helper()
-	res, err := congest.RunWith(engine, g, &core.Tester{K: k, Eps: eps, Reps: reps}, congest.Config{Seed: seed})
+	res, err := network.Run(engine, g, &core.Tester{K: k, Eps: eps, Reps: reps}, network.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestQueryMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			resp, err := s.Query(context.Background(), &QueryRequest{
 				Graph: GraphRequest{Family: "gnm", N: 64, M: 256, Seed: 3},
@@ -82,7 +82,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	const seeds = 24
 	want := make([]core.Decision, seeds)
 	for i := range want {
-		want[i] = freshDecision(t, g, congest.EngineBSP, 5, 2, 0, uint64(i))
+		want[i] = freshDecision(t, g, network.EngineBSP, 5, 2, 0, uint64(i))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < seeds; i++ {
@@ -609,14 +609,27 @@ func TestHTTPSweepStreams(t *testing.T) {
 		}
 	})
 
+	// An invalid spec, and one that still sends the removed batch_width
+	// field (unknown fields are refused, never silently ignored), are 400s
+	// with the JSON error envelope.
 	t.Run("invalid-spec", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{"graphs":[],"k":[5],"eps":[0.2],"trials":1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("HTTP %d, want 400", resp.StatusCode)
+		for _, bad := range []string{
+			`{"graphs":[],"k":[5],"eps":[0.2],"trials":1}`,
+			`{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"batch_width":2}`,
+		} {
+			resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope map[string]string
+			derr := json.NewDecoder(resp.Body).Decode(&envelope)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("spec %s: HTTP %d, want 400", bad, resp.StatusCode)
+			}
+			if derr != nil || envelope["error"] == "" {
+				t.Fatalf("spec %s: want the JSON error envelope, got %v (decode error %v)", bad, envelope, derr)
+			}
 		}
 	})
 }

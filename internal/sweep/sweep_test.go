@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/network"
 )
@@ -48,7 +48,13 @@ func collect(t *testing.T, spec *Spec) []Result {
 }
 
 // TestSweepDeterministic: two runs of the same spec produce identical
-// results (modulo wall time), independent of worker scheduling.
+// results (modulo wall time), independent of worker scheduling. The
+// sink-level half runs a grid over both engines, a cyclic graph (rejecting
+// trials assemble witnesses) and a tree (clean accepts) at every scheduler
+// width from 1 to one worker per job, and demands byte-identical CSV
+// streams: trial seeding is positional, so neither the worker count nor
+// the engine pool width each instance gets (GOMAXPROCS/workers, so the
+// narrow runs use multi-worker pools) may change a row.
 func TestSweepDeterministic(t *testing.T) {
 	a := collect(t, demoSpec())
 	one := demoSpec()
@@ -62,6 +68,38 @@ func TestSweepDeterministic(t *testing.T) {
 		x.Elapsed, y.Elapsed = 0, 0
 		if !reflect.DeepEqual(x, y) {
 			t.Fatalf("job %d differs between runs:\n %+v\n %+v", i, x, y)
+		}
+	}
+
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	grid := func(workers int) []byte {
+		spec := &Spec{
+			Graphs:  []GraphSpec{{Family: "gnm", N: 32, M: 96}, {Family: "tree", N: 24}},
+			K:       []int{5},
+			Eps:     []float64{0.2},
+			Engines: []string{"bsp", "channels"},
+			Trials:  10,
+			Seed:    11,
+			Workers: workers,
+		}
+		var buf bytes.Buffer
+		sink := NewCSVSink(&buf)
+		sink.Elapsed = false
+		if _, err := Run(spec, sink); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := grid(1)
+	if n := bytes.Count(want, []byte("\n")); n != 5 { // header + 4 jobs
+		t.Fatalf("reference sweep streamed %d lines, want 5:\n%s", n, want)
+	}
+	for _, workers := range []int{2, 3, 4} {
+		if got := grid(workers); !bytes.Equal(got, want) {
+			t.Errorf("workers %d: sink bytes differ from workers 1\n--- got ---\n%s\n--- want ---\n%s",
+				workers, got, want)
 		}
 	}
 }
@@ -112,7 +150,7 @@ func TestSweepOrderAndSkip(t *testing.T) {
 
 // TestSweepMatchesDirectRuns: the scheduler's aggregates — through network
 // reuse, node caching, and worker sharding — equal per-trial fresh
-// congest.Run executions summed by hand.
+// network.Run executions summed by hand.
 func TestSweepMatchesDirectRuns(t *testing.T) {
 	spec := demoSpec()
 	jobs, _ := spec.Jobs()
@@ -126,7 +164,7 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 		var msgs int64
 		for tr := 0; tr < spec.Trials; tr++ {
 			prog := &core.Tester{K: job.K, Eps: job.Eps}
-			res, err := congest.RunWith(job.Engine, g, prog, congest.Config{
+			res, err := network.Run(job.Engine, g, prog, network.Config{
 				Seed: trialSeed(spec.Seed, job.SeedKey, tr),
 			})
 			if err != nil {

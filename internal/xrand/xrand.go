@@ -170,7 +170,9 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Rank draws a rank in [1, max] inclusive, matching the paper's Phase-1 rank
-// draw r(e) ∈ [1, m²] (we use [1, n⁴]; see DESIGN.md §3.2).
+// draw r(e) ∈ [1, m²]. The tester passes max = n⁴: m ≤ n² makes that range a
+// superset, every node knows n but not m, and a wider range only lowers the
+// rank-collision probability of Lemma 5.
 func (r *RNG) Rank(max uint64) uint64 {
 	return 1 + r.Uint64n(max)
 }

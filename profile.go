@@ -35,11 +35,11 @@ func ProfileCycles(g *Graph, kmax int, opts Options) ([]CycleProfile, error) {
 	if err := validate(g, &probe, true); err != nil {
 		return nil, err
 	}
-	nw, err := network.New(g.build(), network.Options{
-		Engine:        opts.Engine,
-		IDs:           opts.IDs,
-		BandwidthBits: opts.BandwidthBits,
-	})
+	c, err := network.Compile(g.build(), network.CompileOptions{IDs: opts.IDs, BandwidthBits: opts.BandwidthBits})
+	if err != nil {
+		return nil, err
+	}
+	nw, err := c.NewInstance(network.InstanceOptions{Engine: opts.Engine})
 	if err != nil {
 		return nil, err
 	}
